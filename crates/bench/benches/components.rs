@@ -56,12 +56,14 @@ fn bench_pattern_set() {
         black_box(set.find_longest(black_box(&tags)));
     });
 
+    // One set, allocated into once per op: after the first 16 calls it
+    // is full and every allocate evicts a victim, the steady state of a
+    // context's pattern set. Building the set inside the op would time
+    // `PatternSet::new`'s heap allocation along with 16 allocates.
+    let mut set = PatternSet::new(16, 4, 16);
     let mut rng = SplitMix64::new(3);
     bench("pattern_set_allocate", || {
-        let mut set = PatternSet::new(16, 4, 16);
-        for _ in 0..16 {
-            set.allocate(rng.below(16) as u8, rng.next_u64() as u32 & 0x1FFF, rng.chance(1, 2), 3);
-        }
+        set.allocate(rng.below(16) as u8, rng.next_u64() as u32 & 0x1FFF, rng.chance(1, 2), 3);
         black_box(set.occupancy());
     });
 }

@@ -35,7 +35,7 @@ fn bench<F: FnMut()>(name: &str, elements: u64, mut f: F) {
 }
 
 fn bench_predictors(trace: &Trace) {
-    let cfg = SimConfig { warmup_fraction: 0.0, track_per_branch: false, ..SimConfig::default() };
+    let cfg = SimConfig { warmup_fraction: 0.0, track_per_branch: false };
     for (name, kind) in [
         ("simulate/64k_tsl", PredictorKind::Tsl64K),
         ("simulate/512k_tsl", PredictorKind::TslScaled(8)),

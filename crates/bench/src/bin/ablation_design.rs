@@ -6,11 +6,12 @@
 //! Each row is the mean MPKI reduction over the selected workloads versus
 //! the 64K TSL baseline.
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::{CdReplacement, LlbpParams};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 #[allow(clippy::field_reassign_with_default)]
 fn variants() -> Vec<LlbpParams> {
@@ -54,7 +55,7 @@ fn main() {
 
     let mut predictors = vec![PredictorKind::Tsl64K];
     predictors.extend(variants.iter().map(|p| PredictorKind::Llbp(p.clone())));
-    let spec = SweepSpec::new(predictors, workload_specs(&opts), sim_config(&opts));
+    let spec = SweepSpec::new(predictors, workload_specs(&opts), SimConfig::default());
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 
     println!("# Ablation — LLBP design choices (mean MPKI reduction vs 64K TSL)");

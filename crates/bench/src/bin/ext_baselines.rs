@@ -5,11 +5,12 @@
 //! → TAGE-SC-L → TAGE-SC-L + LLBP) on the same workloads, with storage
 //! budgets for scale.
 
-use llbp_bench::{emit, engine, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f2, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 fn main() {
     let opts = Opts::from_args();
@@ -24,7 +25,7 @@ fn main() {
             PredictorKind::Llbp(LlbpParams::default()),
         ],
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

@@ -7,11 +7,12 @@
 //! indirect-target mispredictions — per workload, explaining why
 //! indirect-heavy workloads (PHPWiki) lose more of LLBP's benefit.
 
-use llbp_bench::{emit, engine, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f2, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 fn main() {
     let opts = Opts::from_args();
@@ -19,7 +20,7 @@ fn main() {
     let spec = SweepSpec::new(
         vec![PredictorKind::Llbp(LlbpParams::default())],
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

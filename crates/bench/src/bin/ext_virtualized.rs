@@ -7,11 +7,12 @@
 //! and reports how much of LLBP's MPKI reduction survives — i.e. how much
 //! slack the context prefetcher really has.
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 const DELAYS: [u64; 6] = [0, 6, 12, 20, 30, 45];
 
@@ -27,7 +28,7 @@ fn main() {
         };
         predictors.push(PredictorKind::Llbp(params));
     }
-    let spec = SweepSpec::new(predictors, workload_specs(&opts), sim_config(&opts));
+    let spec = SweepSpec::new(predictors, workload_specs(&opts), SimConfig::default());
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 
     println!("# Extension — virtualised LLBP: MPKI reduction vs pattern-store latency");

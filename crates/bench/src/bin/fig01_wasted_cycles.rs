@@ -6,10 +6,10 @@
 //! 9.2% on average. Here the timing model substitutes for hardware
 //! counters (DESIGN.md §3).
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{pct, Table};
-use llbp_sim::{PredictorKind, TimingModel};
+use llbp_sim::{PredictorKind, SimConfig, TimingModel};
 use llbp_trace::Workload;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let timing = TimingModel::default();
 
     let spec =
-        SweepSpec::new(vec![PredictorKind::Tsl64K], workload_specs(&opts), sim_config(&opts));
+        SweepSpec::new(vec![PredictorKind::Tsl64K], workload_specs(&opts), SimConfig::default());
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 
     let mut table = Table::new(["workload", "wasted cycles"]);

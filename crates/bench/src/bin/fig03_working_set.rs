@@ -7,7 +7,7 @@
 //! (b) Useful patterns per static branch under Inf TSL. Paper: average
 //!     14.1, the most-mispredicted branches have 100–9500.
 
-use llbp_bench::{emit, engine, sim_config, trace_cache, Opts};
+use llbp_bench::{emit, engine, trace_cache, Opts};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::patterns::{rank_by_mispredictions, useful_patterns_per_branch};
 use llbp_sim::report::{f1, f2, Table};
@@ -26,7 +26,7 @@ fn main() {
     let trace = cache.get_or_generate(&wspec);
 
     // --- (a) cumulative mispredictions by capacity -----------------------
-    let cfg = SimConfig { track_per_branch: true, ..sim_config(&opts) };
+    let cfg = SimConfig { track_per_branch: true, ..SimConfig::default() };
     let ranked = rank_by_mispredictions(&trace);
     let total_statics = ranked.len().max(1);
     let top_n = (total_statics as f64 * 0.008).ceil() as usize; // top 0.8%

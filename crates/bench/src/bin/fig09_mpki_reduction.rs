@@ -5,11 +5,12 @@
 //! reaches ~90% of the no-latency ideal); 512K TSL −12.5…−45.9%
 //! (avg −27.3%).
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, f2, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 fn main() {
     let opts = Opts::from_args();
@@ -22,7 +23,7 @@ fn main() {
             PredictorKind::TslScaled(8),
         ],
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

@@ -6,11 +6,11 @@
 //! the perfect-BP headroom; our analytic model is similarly soft on
 //! absolutes — the ordering is the reproducible part).
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f2, Table};
-use llbp_sim::{PredictorKind, TimingModel};
+use llbp_sim::{PredictorKind, SimConfig, TimingModel};
 
 fn main() {
     let opts = Opts::from_args();
@@ -24,7 +24,7 @@ fn main() {
             PredictorKind::TslScaled(8),
         ],
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

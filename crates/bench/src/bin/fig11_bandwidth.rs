@@ -5,11 +5,11 @@
 //! reads); 64 entries −18.9% combined; 256 entries < 8 bits/inst total;
 //! the 64-entry PB read traffic is ~41% below L1I↔L2 traffic.
 
-use llbp_bench::{emit, engine, sim_config, trace_cache, workload_specs, Opts};
+use llbp_bench::{emit, engine, trace_cache, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, Table};
-use llbp_sim::{L1iCache, PredictorKind};
+use llbp_sim::{L1iCache, PredictorKind, SimConfig};
 
 const PB_SIZES: [usize; 3] = [16, 64, 256];
 
@@ -23,7 +23,7 @@ fn main() {
             .map(|&pb| PredictorKind::Llbp(LlbpParams::default().with_pb_entries(pb)))
             .collect(),
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let cache = trace_cache(&opts);
     let report = llbp_bench::run_sweep_with_cache(&engine(&opts), &spec, &cache);

@@ -5,12 +5,12 @@
 //! energy; the 64-entry PB is the optimum; total LLBP ≈1.53× the
 //! baseline vs 4.58× for a 512K TSL.
 
-use llbp_bench::{emit, engine, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::energy::TSL64K_BITS;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f2, Table};
-use llbp_sim::{EnergyModel, PredictorKind};
+use llbp_sim::{EnergyModel, PredictorKind, SimConfig};
 
 const PB_SIZES: [usize; 3] = [16, 64, 256];
 
@@ -24,7 +24,7 @@ fn main() {
             .map(|&pb| PredictorKind::Llbp(LlbpParams::default().with_pb_entries(pb)))
             .collect(),
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

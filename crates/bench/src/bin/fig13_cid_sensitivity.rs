@@ -5,11 +5,12 @@
 //! always late); Uncond peaks at −8.9% around D = 4; Call/Ret is too
 //! coarse; All degrades as D grows (conditional noise).
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::{ContextHistoryKind, LlbpParams};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 const DISTANCES: [usize; 6] = [0, 2, 4, 6, 8, 12];
 const KINDS: [(ContextHistoryKind, &str); 3] = [
@@ -34,7 +35,7 @@ fn main() {
             predictors.push(PredictorKind::Llbp(params));
         }
     }
-    let spec = SweepSpec::new(predictors, workload_specs(&opts), sim_config(&opts));
+    let spec = SweepSpec::new(predictors, workload_specs(&opts), SimConfig::default());
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 
     println!("# Figure 13 — CID history type × prefetch distance D (mean MPKI reduction)");

@@ -10,11 +10,12 @@
 //! context tags, no bucketing, zero latency. Context counts are powers of
 //! two here (the paper also samples 10/12/14K).
 
-use llbp_bench::{emit, engine, mean_reduction, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, mean_reduction, workload_specs, Opts};
 use llbp_core::LlbpParams;
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 const CONTEXTS: [usize; 5] = [8_192, 16_384, 32_768, 65_536, 131_072];
 const SET_SIZES: [usize; 4] = [8, 16, 32, 64];
@@ -29,7 +30,7 @@ fn main() {
             predictors.push(PredictorKind::Llbp(LlbpParams::study_full_assoc(contexts, set_size)));
         }
     }
-    let spec = SweepSpec::new(predictors, workload_specs(&opts), sim_config(&opts));
+    let spec = SweepSpec::new(predictors, workload_specs(&opts), SimConfig::default());
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 
     println!("# Figure 14 — contexts × pattern-set size (mean MPKI reduction & capacity)");

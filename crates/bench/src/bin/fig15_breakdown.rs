@@ -6,11 +6,12 @@
 //! are bad; 59% of overrides are redundant (both agree); 49% of all
 //! predictions come from the bimodal table.
 
-use llbp_bench::{emit, engine, sim_config, workload_specs, Opts};
+use llbp_bench::{emit, engine, workload_specs, Opts};
 use llbp_core::{LlbpParams, LlbpStats};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{pct, Table};
 use llbp_sim::PredictorKind;
+use llbp_sim::SimConfig;
 
 fn main() {
     let opts = Opts::from_args();
@@ -18,7 +19,7 @@ fn main() {
     let spec = SweepSpec::new(
         vec![PredictorKind::Llbp(LlbpParams::default())],
         workload_specs(&opts),
-        sim_config(&opts),
+        SimConfig::default(),
     );
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
 

@@ -7,10 +7,10 @@
 //! [`fig02_render`] over the same grid, differing only in where the
 //! cell results came from.
 
-use crate::{mean_reduction, sim_config, workload_specs, Opts};
+use crate::{mean_reduction, workload_specs, Opts};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, f2, Table};
-use llbp_sim::{PredictorKind, SimResult};
+use llbp_sim::{PredictorKind, SimConfig, SimResult};
 
 /// Figure 2's predictor axis, in column order.
 #[must_use]
@@ -21,7 +21,7 @@ pub fn fig02_predictors() -> Vec<PredictorKind> {
 /// Figure 2's sweep grid for the given options.
 #[must_use]
 pub fn fig02_spec(opts: &Opts) -> SweepSpec {
-    SweepSpec::new(fig02_predictors(), workload_specs(opts), sim_config(opts))
+    SweepSpec::new(fig02_predictors(), workload_specs(opts), SimConfig::default())
 }
 
 /// Renders Figure 2's full stdout — header, paper-values line, and the

@@ -13,11 +13,7 @@
 //! * `--verify-resume` — as `--resume`, but re-hash each journaled-ok
 //!   memo cell against its recorded digest first, demoting silently
 //!   corrupted cells back to misses;
-//! * `--strict` — exit nonzero if any grid cell ultimately failed;
-//! * `--backend auto|reference|specialized|batch` — which execution
-//!   backend runs the hot loop (default: the `LLBP_BACKEND` environment
-//!   variable, then `auto` = fastest). Backends are parity-pinned, so
-//!   this changes throughput only, never the figures.
+//! * `--strict` — exit nonzero if any grid cell ultimately failed.
 //!
 //! Results print as markdown tables so they can be pasted straight into
 //! `EXPERIMENTS.md`. Traces and per-cell simulation results are memoized
@@ -31,9 +27,7 @@
 pub mod figures;
 
 use llbp_obs::{Telemetry, TelemetrySettings};
-use llbp_sim::{
-    BackendKind, FaultInjector, MemoStore, SimConfig, SweepEngine, SweepReport, TraceCache,
-};
+use llbp_sim::{FaultInjector, MemoStore, SweepEngine, SweepReport, TraceCache};
 use llbp_trace::{Trace, Workload, WorkloadSpec};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -70,10 +64,6 @@ pub struct Opts {
     /// Where to write the Prometheus metrics snapshot (`--metrics-out`).
     /// Setting it enables telemetry collection.
     pub metrics_out: Option<String>,
-    /// Execution backend for the simulation hot loop (`--backend`,
-    /// falling back to `LLBP_BACKEND`, then `auto`). Parity-pinned: a
-    /// pure throughput choice that never changes figure output.
-    pub backend: BackendKind,
     /// Route sweeps to a resident `llbp-serve` daemon
     /// (`--server tcp://host:port`) instead of simulating in-process.
     /// Stdout is byte-identical either way — the daemon streams back
@@ -115,7 +105,6 @@ impl Opts {
             strict: false,
             trace_events: None,
             metrics_out: None,
-            backend: BackendKind::from_env().unwrap_or_else(|msg| usage(&msg)),
             server: None,
             prov: false,
         };
@@ -154,10 +143,6 @@ impl Opts {
                     let v = iter.next().unwrap_or_else(|| usage("missing value for --metrics-out"));
                     opts.metrics_out = Some(v);
                 }
-                "--backend" => {
-                    let v = iter.next().unwrap_or_else(|| usage("missing value for --backend"));
-                    opts.backend = v.parse::<BackendKind>().unwrap_or_else(|e| usage(&e));
-                }
                 "--server" => {
                     let v = iter.next().unwrap_or_else(|| usage("missing value for --server"));
                     opts.server = Some(v);
@@ -184,15 +169,6 @@ impl Opts {
     }
 }
 
-/// The default [`SimConfig`] for these options: everything standard except
-/// the execution backend, which honors `--backend` / `LLBP_BACKEND`.
-/// Binaries that need probes layer them on with functional update:
-/// `SimConfig { track_per_branch: true, ..sim_config(&opts) }`.
-#[must_use]
-pub fn sim_config(opts: &Opts) -> SimConfig {
-    SimConfig::default().with_backend(opts.backend)
-}
-
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
@@ -200,7 +176,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <bin> [--quick] [--cold] [--resume] [--verify-resume] [--strict] [--branches N] \
          [--workloads A,B,C] [--trace-events PATH] [--metrics-out PATH] \
-         [--backend auto|reference|specialized|batch] [--server tcp://HOST:PORT] [--prov]"
+         [--server tcp://HOST:PORT] [--prov]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -515,18 +491,6 @@ mod tests {
         assert!(s.enabled);
         assert_eq!(s.trace_events.as_deref(), Some(std::path::Path::new("t.json")));
         assert_eq!(s.metrics_out, None);
-    }
-
-    #[test]
-    fn parse_backend_flag() {
-        let o = Opts::parse(["--backend", "specialized"].iter().map(ToString::to_string));
-        assert_eq!(o.backend, BackendKind::Specialized);
-        assert_eq!(sim_config(&o).backend, BackendKind::Specialized);
-        // Without the flag (and with the env untouched) the default is auto.
-        if std::env::var(llbp_sim::BACKEND_ENV).is_err() {
-            let o = Opts::parse(Vec::<String>::new());
-            assert_eq!(o.backend, BackendKind::Auto);
-        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ fn fig02_bytes_are_identical_with_prov_recording() {
 #[test]
 fn fig09_llbp_cells_are_identical_with_prov_recording() {
     // Fig09's grid exercises the composite LLBP predictor, whose
-    // provenance path (fused predict+train with override attribution)
-    // is the one most at risk of perturbing results.
+    // provenance record (override attribution) is the one most at risk
+    // of perturbing results.
     let opts = quick_opts();
     let spec = SweepSpec::new(
         vec![
@@ -69,50 +69,12 @@ fn fig09_llbp_cells_are_identical_with_prov_recording() {
             PredictorKind::Llbp(LlbpParams::zero_latency()),
         ],
         llbp_bench::workload_specs(&opts),
-        llbp_bench::sim_config(&opts),
+        llbp_sim::SimConfig::default(),
     );
     let (_, recorded) = assert_prov_parity(&spec, "fig09");
     let summary = recorded.prov.expect("summary");
     assert_eq!(summary.streams, 9, "one stream per cell");
     assert!(summary.mispredicts > 0);
-}
-
-#[test]
-fn every_backend_yields_the_same_stream() {
-    // Backends are parity-pinned for results; with a recorder attached
-    // they must also be parity-pinned for the *stream* — same events in
-    // the ring, same profiles — since reports built from either must
-    // agree.
-    use llbp_sim::{BackendKind, CancelToken, ProvRecorder, SimConfig};
-    let trace = llbp_trace::WorkloadSpec::named(llbp_trace::Workload::Tomcat)
-        .with_branches(6_000)
-        .generate();
-    let run = |backend: BackendKind, kind: PredictorKind| {
-        let mut recorder = ProvRecorder::enabled(ProvConfig { sample: 2, ring: 8192 });
-        let cfg = SimConfig::default().with_backend(backend);
-        let result = cfg
-            .run_recorded(
-                kind,
-                &trace,
-                &CancelToken::none(),
-                &llbp_sim::obs::Counter::noop(),
-                &mut recorder,
-            )
-            .expect("no cancel token");
-        (result, recorder.finish("l", "w").expect("enabled"))
-    };
-    for kind in [
-        PredictorKind::Tsl64K,
-        PredictorKind::Llbp(LlbpParams::default()),
-        PredictorKind::Gshare { index_bits: 12, history_bits: 8 },
-    ] {
-        let (ref_result, ref_stream) = run(BackendKind::Reference, kind.clone());
-        for backend in [BackendKind::Specialized, BackendKind::Batch] {
-            let (result, stream) = run(backend, kind.clone());
-            assert_eq!(result, ref_result, "{kind:?} on {backend:?}");
-            assert_eq!(stream, ref_stream, "{kind:?} stream on {backend:?}");
-        }
-    }
 }
 
 #[test]

@@ -243,17 +243,7 @@ impl FoldedHistory {
     /// falls out of the history window).
     #[inline]
     pub fn update_before_push(&mut self, ghr: &HistoryBuffer, taken: bool) {
-        // Shift in the new bit at position 0.
-        self.comp = (self.comp << 1) | u32::from(taken);
-        // Cancel the bit that leaves the window: before the push it has age
-        // original_len - 1; after the shift its contribution sits at
-        // `outpoint`.
-        if ghr.bit(self.original_len - 1) {
-            self.comp ^= 1 << self.outpoint;
-        }
-        // Wrap the bit shifted out of the compressed register back in.
-        self.comp ^= self.comp >> self.compressed_len;
-        self.comp &= mask(self.compressed_len);
+        self.update_with_out_bit(ghr.bit(self.original_len - 1), taken);
     }
 
     /// Restores the fold from a checkpointed raw value (misprediction
@@ -268,16 +258,20 @@ impl FoldedHistory {
     ///
     /// Branch-free: the cancel XOR is computed from the bit instead of
     /// branched on. The outgoing history bit is essentially a coin flip on
-    /// real traces, so the `if` in the reference variant mispredicts
-    /// constantly — across the ~3×tables registers a TAGE updates per
-    /// branch, those mispredicts dominate the history-advance cost.
-    /// Callers that maintain several registers over the same window length
-    /// (index + both tag folds of one TAGE table) also read the outgoing
-    /// bit once instead of three times.
+    /// real traces, so branching on it would mispredict constantly across
+    /// the ~3×tables registers a TAGE updates per branch. Callers that
+    /// maintain several registers over the same window length (index +
+    /// both tag folds of one TAGE table) also read the outgoing bit once
+    /// instead of three times.
     #[inline]
     pub fn update_with_out_bit(&mut self, out_bit: bool, taken: bool) {
+        // Shift in the new bit at position 0.
         self.comp = (self.comp << 1) | u32::from(taken);
+        // Cancel the bit that leaves the window: before the push it has age
+        // original_len - 1; after the shift its contribution sits at
+        // `outpoint`.
         self.comp ^= u32::from(out_bit) << self.outpoint;
+        // Wrap the bit shifted out of the compressed register back in.
         self.comp ^= self.comp >> self.compressed_len;
         self.comp &= mask(self.compressed_len);
     }
@@ -367,39 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn update_with_out_bit_matches_update_before_push() {
-        // The branch-free variant must track the reference update exactly
-        // for every (original_len, compressed_len) shape, over a bit
-        // stream long enough to wrap every fold several times.
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng & 1 == 1
-        };
-        for (original_len, compressed_len) in
-            [(1, 1), (3, 4), (8, 8), (13, 7), (27, 11), (64, 12), (389, 13)]
-        {
-            let mut ghr = HistoryBuffer::new(original_len + 64);
-            let mut slow = FoldedHistory::new(original_len, compressed_len);
-            let mut fast = slow;
-            for step in 0..3 * original_len + 100 {
-                let taken = next();
-                let out = ghr.bit(original_len - 1);
-                slow.update_before_push(&ghr, taken);
-                fast.update_with_out_bit(out, taken);
-                ghr.push(taken);
-                assert_eq!(
-                    slow.value(),
-                    fast.value(),
-                    "divergence at step {step} for len {original_len}->{compressed_len}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fold_reference_small_case() {
         let mut h = HistoryBuffer::new(16);
         // Push bits so that history (newest first) = 1,0,1.
@@ -413,12 +374,28 @@ mod tests {
 
     #[test]
     fn folded_history_matches_reference_fold() {
+        // Every (original_len, compressed_len) shape must track the
+        // from-scratch fold at every step, over a bit stream long enough
+        // to wrap every fold several times.
         let mut ghr = HistoryBuffer::new(512);
-        let cases = [(5usize, 3u32), (17, 8), (100, 11), (130, 12), (300, 13)];
+        let cases = [
+            (1usize, 1u32),
+            (3, 4),
+            (5, 3),
+            (8, 8),
+            (13, 7),
+            (17, 8),
+            (27, 11),
+            (64, 12),
+            (100, 11),
+            (130, 12),
+            (300, 13),
+            (389, 13),
+        ];
         let mut folds: Vec<FoldedHistory> =
             cases.iter().map(|&(o, c)| FoldedHistory::new(o, c)).collect();
         let mut x: u64 = 0x1234_5678_9abc_def0;
-        for _ in 0..2000 {
+        for step in 0..2000 {
             // xorshift for a deterministic pseudo-random outcome stream
             x ^= x << 13;
             x ^= x >> 7;
@@ -428,9 +405,9 @@ mod tests {
                 f.update_before_push(&ghr, taken);
             }
             ghr.push(taken);
-        }
-        for (f, &(o, c)) in folds.iter().zip(&cases) {
-            assert_eq!(f.value(), ghr.fold(o, c), "mismatch for olen={o} clen={c}");
+            for (f, &(o, c)) in folds.iter().zip(&cases) {
+                assert_eq!(f.value(), ghr.fold(o, c), "step {step}: olen={o} clen={c}");
+            }
         }
     }
 

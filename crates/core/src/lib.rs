@@ -21,9 +21,8 @@
 //! let trace = WorkloadSpec::named(Workload::NodeApp).with_branches(5_000).generate();
 //! for r in &trace {
 //!     if r.kind() == BranchKind::Conditional {
-//!         let pred = p.predict(r.pc());
-//!         let _ = pred;
-//!         p.train(r.pc(), r.taken());
+//!         let info = p.step(r.pc(), r.taken()); // predict, then train
+//!         let _ = info.pred;
 //!     }
 //!     p.update_history(r);
 //! }

@@ -26,7 +26,7 @@ use crate::stats::{LlbpStats, OverrideKind};
 use bputil::history::FoldedHistory;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
-use llbp_tage::{FrontEnd, PredictionInfo, Predictor, ProviderKind, TageScl, TslLookup};
+use llbp_tage::{FrontEnd, PredictionInfo, Predictor, TageScl};
 use llbp_trace::{BranchKind, BranchRecord};
 
 /// A pattern set resident in the pattern buffer.
@@ -34,24 +34,6 @@ use llbp_trace::{BranchKind, BranchRecord};
 struct PbEntry {
     set: PatternSet,
     dirty: bool,
-}
-
-/// LLBP's view of one prediction, stashed between `predict` and `train`.
-#[derive(Debug, Clone)]
-struct Pending {
-    pc: u64,
-    tsl: TslLookup,
-    /// Slot + length + direction of the longest LLBP match, if any.
-    llbp: Option<LlbpMatch>,
-    /// Final direction returned to the front-end.
-    final_pred: bool,
-    /// Whether LLBP overrode the baseline.
-    overrode: bool,
-    /// Current context ID at prediction time.
-    cid: u64,
-    /// Per-length tags computed at prediction time (needed to allocate
-    /// with the same history the prediction saw).
-    tags: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +72,6 @@ pub struct LlbpPredictor {
     frontend: FrontEnd,
     instructions: u64,
     stats: LlbpStats,
-    pending: Option<Pending>,
     /// Runtime power gate (§V): `false` turns the LLBP side off.
     llbp_enabled: bool,
 }
@@ -134,7 +115,6 @@ impl LlbpPredictor {
             frontend: FrontEnd::new(),
             instructions: 0,
             stats: LlbpStats::default(),
-            pending: None,
             llbp_enabled: true,
             params,
         }
@@ -375,7 +355,7 @@ impl LlbpPredictor {
 }
 
 impl Predictor for LlbpPredictor {
-    fn predict(&mut self, pc: u64) -> bool {
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         self.process_arrivals();
         let tage = self.tsl.lookup_tage(pc);
         let cid = self.rcr.current_cid();
@@ -437,20 +417,11 @@ impl Predictor for LlbpPredictor {
         let tsl = self.tsl.finish_lookup(pc, tage, inject);
         let final_pred = tsl.pred;
 
-        self.pending = Some(Pending { pc, tsl, llbp, final_pred, overrode, cid, tags });
-        final_pred
-    }
-
-    fn train(&mut self, pc: u64, taken: bool) {
-        let pending = self.pending.take().expect("train() without a matching predict()");
-        debug_assert_eq!(pending.pc, pc, "train() PC does not match predict()");
-
         // Fig. 15 classification: compare the produced direction against
         // what the baseline (no LLBP injection) would have predicted.
-        if pending.llbp.is_some() {
-            let final_pred = pending.final_pred;
-            let baseline = pending.tsl.baseline_pred;
-            let kind = if !pending.overrode {
+        if llbp.is_some() {
+            let baseline = tsl.baseline_pred;
+            let kind = if !overrode {
                 OverrideKind::NoOverride
             } else if final_pred == baseline {
                 if final_pred == taken {
@@ -471,9 +442,9 @@ impl Predictor for LlbpPredictor {
         // redundant overrides (both agree — the majority, Fig. 15) the
         // baseline saw the same outcome it predicted and keeps training,
         // which prevents its state from decaying under LLBP's shadow.
-        if pending.overrode {
-            let m = pending.llbp.as_ref().expect("override implies a match");
-            let (pi, pt) = self.pb_key(pending.cid);
+        if overrode {
+            let m = llbp.as_ref().expect("override implies a match");
+            let (pi, pt) = self.pb_key(cid);
             if let Some(entry) = self.pb.get_mut(pi, pt) {
                 if let Some(p) = entry.set.pattern_mut(m.slot) {
                     p.ctr.update(taken);
@@ -482,61 +453,44 @@ impl Predictor for LlbpPredictor {
             }
             let mode = match self.params.cancel_policy {
                 CancelPolicy::Always => UpdateMode::Cancelled,
-                CancelPolicy::OnDisagree if m.pred != pending.tsl.tage.pred => {
-                    UpdateMode::Cancelled
-                }
+                CancelPolicy::OnDisagree if m.pred != tsl.tage.pred => UpdateMode::Cancelled,
                 _ => UpdateMode::Full,
             };
-            self.tsl.commit(&pending.tsl, taken, mode);
+            self.tsl.commit(&tsl, taken, mode);
         } else {
-            self.tsl.commit(&pending.tsl, taken, UpdateMode::Full);
+            self.tsl.commit(&tsl, taken, UpdateMode::Full);
         }
 
         // Allocation on a provider misprediction: a new pattern with the
         // next-longer history, in this context's set.
-        let (provider_pred, base_len) = if pending.overrode {
-            let m = pending.llbp.as_ref().expect("override implies a match");
+        let (provider_pred, base_len) = if overrode {
+            let m = llbp.as_ref().expect("override implies a match");
             (m.pred, m.hist_len)
         } else {
-            (pending.tsl.pred, pending.tsl.tage.provider_hist_len)
+            (tsl.pred, tsl.tage.provider_hist_len)
         };
         if provider_pred != taken && self.llbp_enabled {
-            self.allocate_pattern(pending.cid, &pending.tags, base_len, taken);
+            self.allocate_pattern(cid, &tags, base_len, taken);
         }
 
         // A wrong final prediction resets the pipeline.
-        if pending.final_pred != taken {
+        if final_pred != taken {
             self.pipeline_reset();
         }
-    }
 
-    fn update_history(&mut self, record: &BranchRecord) {
-        self.advance_history(record, false);
-    }
-
-    fn update_history_fast(&mut self, record: &BranchRecord) {
-        self.advance_history(record, true);
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        // `finish_lookup` already attributes injected predictions to LLBP
-        // (or to the SC/loop predictor when they corrected it).
-        self.pending.as_ref().map_or(ProviderKind::Bimodal, |p| p.tsl.provider)
-    }
-
-    fn last_prediction_info(&self, pred: bool) -> PredictionInfo {
-        let Some(p) = self.pending.as_ref() else {
-            return PredictionInfo::from_provider(pred, ProviderKind::Bimodal);
-        };
-        let mut info = p.tsl.prediction_info();
-        if let Some(m) = &p.llbp {
+        let mut info = tsl.prediction_info();
+        if let Some(m) = &llbp {
             info.llbp_hit = true;
             info.llbp_pred = m.pred;
             info.llbp_weak = m.weak;
             info.llbp_hist_len = m.hist_len.min(u16::MAX as usize) as u16;
         }
-        info.llbp_override = p.overrode;
+        info.llbp_override = overrode;
         info
+    }
+
+    fn update_history(&mut self, record: &BranchRecord) {
+        self.advance_history(record);
     }
 
     fn label(&self) -> &str {
@@ -552,12 +506,10 @@ impl Predictor for LlbpPredictor {
 }
 
 impl LlbpPredictor {
-    /// The shared body of [`Predictor::update_history`] /
-    /// [`Predictor::update_history_fast`]: identical except that the fast
-    /// variant advances every folded register branch-free
-    /// ([`FoldedHistory::update_with_out_bit`], one outgoing-bit read per
-    /// history length) and delegates to the backing TAGE-SC-L's fast path.
-    fn advance_history(&mut self, record: &BranchRecord, fast: bool) {
+    /// The body of [`Predictor::update_history`]: instruction and cycle
+    /// accounting, front-end redirects, folded pattern histories, the
+    /// backing TAGE-SC-L's histories, then context tracking and prefetch.
+    fn advance_history(&mut self, record: &BranchRecord) {
         self.instructions += record.instructions();
         self.stats.instructions = self.instructions;
         self.stats.cycles = self.cycle();
@@ -578,21 +530,14 @@ impl LlbpPredictor {
         } else {
             ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
         };
-        if fast {
-            // `folded_tag0[i]` and `folded_tag1[i]` fold the same
-            // `history_lengths[i]` window — one outgoing bit serves both.
-            for i in 0..self.folded_tag0.len() {
-                let out = self.tsl.ghr().bit(self.folded_tag0[i].original_len() - 1);
-                self.folded_tag0[i].update_with_out_bit(out, bit);
-                self.folded_tag1[i].update_with_out_bit(out, bit);
-            }
-            self.tsl.update_history_fast(record);
-        } else {
-            for f in self.folded_tag0.iter_mut().chain(self.folded_tag1.iter_mut()) {
-                f.update_before_push(self.tsl.ghr(), bit);
-            }
-            self.tsl.update_history(record);
+        // `folded_tag0[i]` and `folded_tag1[i]` fold the same
+        // `history_lengths[i]` window — one outgoing bit serves both.
+        for i in 0..self.folded_tag0.len() {
+            let out = self.tsl.ghr().bit(self.folded_tag0[i].original_len() - 1);
+            self.folded_tag0[i].update_with_out_bit(out, bit);
+            self.folded_tag1[i].update_with_out_bit(out, bit);
         }
+        self.tsl.update_history(record);
 
         // Context tracking + prefetch issue. The RCR always advances (so
         // re-enabling a power-gated LLBP is seamless); directory lookups
@@ -627,8 +572,7 @@ mod tests {
         let mut conds = 0u64;
         for (i, r) in trace.iter().enumerate() {
             if r.kind() == BranchKind::Conditional {
-                let pred = p.predict(r.pc());
-                p.train(r.pc(), r.taken());
+                let pred = p.step(r.pc(), r.taken()).pred;
                 if i >= skip {
                     conds += 1;
                     mispredicts += u64::from(pred != r.taken());
@@ -695,15 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn train_without_predict_panics() {
-        let mut p = LlbpPredictor::new(LlbpParams::default());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.train(0x100, true);
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn indirect_target_changes_reset_the_pipeline() {
         let mut p = LlbpPredictor::new(LlbpParams::default());
         let r1 = BranchRecord::unconditional(0x100, 0x2000, BranchKind::IndirectCall, 3);
@@ -746,8 +681,7 @@ mod tests {
                 p.set_llbp_enabled(true);
             }
             if r.kind() == BranchKind::Conditional {
-                let _ = p.predict(r.pc());
-                p.train(r.pc(), r.taken());
+                let _ = p.step(r.pc(), r.taken());
             }
             p.update_history(r);
         }

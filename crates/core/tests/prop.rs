@@ -121,8 +121,7 @@ fn llbp_predictor_robust() {
             let kind = BranchKind::from_u8(rng.below(6) as u8).expect("in range");
             let gap = rng.below(8) as u32;
             if kind == BranchKind::Conditional {
-                let _ = p.predict(pc);
-                p.train(pc, taken);
+                let _ = p.step(pc, taken);
                 p.update_history(&BranchRecord::conditional(pc, pc + 8, taken, gap));
             } else {
                 p.update_history(&BranchRecord::unconditional(pc, pc ^ 0x80, kind, gap));

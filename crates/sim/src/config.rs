@@ -1,7 +1,6 @@
 //! Simulation configuration and the predictor factory.
 
-use crate::backend::BackendKind;
-use crate::driver::{LlbpCellStats, SimResult, Simulator};
+use crate::driver::{LlbpCellStats, SimResult, Simulation};
 use crate::error::{CancelToken, SimError};
 use llbp_core::{LlbpParams, LlbpPredictor};
 use llbp_prov::ProvRecorder;
@@ -51,28 +50,6 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// Instantiates the predictor.
-    #[must_use]
-    pub fn build(&self) -> Box<dyn Predictor> {
-        match self {
-            PredictorKind::Tsl64K => Box::new(TageScl::new(TslConfig::cbp64k())),
-            PredictorKind::TslScaled(f) => Box::new(TageScl::new(TslConfig::scaled(*f))),
-            PredictorKind::InfTage => Box::new(TageScl::new(TslConfig::infinite_tage())),
-            PredictorKind::InfTsl => Box::new(TageScl::new(TslConfig::infinite_tsl())),
-            PredictorKind::Llbp(p) => Box::new(LlbpPredictor::new(p.clone())),
-            PredictorKind::CustomTsl(cfg) => Box::new(TageScl::new(cfg.clone())),
-            PredictorKind::Gshare { index_bits, history_bits } => {
-                Box::new(Gshare::new(*index_bits, *history_bits))
-            }
-            PredictorKind::TwoLevelLocal { bht_bits, local_bits } => {
-                Box::new(TwoLevelLocal::new(*bht_bits, *local_bits))
-            }
-            PredictorKind::HashedPerceptron { tables, index_bits, segment_bits } => {
-                Box::new(HashedPerceptron::new(*tables, *index_bits, *segment_bits))
-            }
-        }
-    }
-
     /// Report label of the built predictor.
     #[must_use]
     pub fn label(&self) -> String {
@@ -101,7 +78,7 @@ impl PredictorKind {
     }
 }
 
-/// Simulation parameters (warmup split, probes, execution backend).
+/// Simulation parameters (warmup split, probes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Fraction of records used as warmup: statistics are collected only
@@ -109,39 +86,15 @@ pub struct SimConfig {
     pub warmup_fraction: f64,
     /// Record per-static-branch misprediction counts (Fig. 3 probes).
     pub track_per_branch: bool,
-    /// Which execution backend runs the hot loop (see [`crate::backend`]).
-    /// A pure throughput choice: backends are parity-pinned to produce
-    /// identical results, so this field is excluded from memo fingerprints
-    /// ([`SimConfig::fingerprint_text`]).
-    pub backend: BackendKind,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        Self { warmup_fraction: 1.0 / 3.0, track_per_branch: false, backend: BackendKind::Auto }
+        Self { warmup_fraction: 1.0 / 3.0, track_per_branch: false }
     }
 }
 
 impl SimConfig {
-    /// Returns the config with the execution backend replaced.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// A stable string describing the *result-relevant* configuration for
-    /// cache fingerprinting. Deliberately excludes [`SimConfig::backend`]
-    /// — backends are parity-pinned, so a cell memoized under one backend
-    /// is valid for all of them — and reproduces the pre-backend `Debug`
-    /// format exactly so existing memo stores stay warm.
-    #[must_use]
-    pub fn fingerprint_text(&self) -> String {
-        format!(
-            "SimConfig {{ warmup_fraction: {:?}, track_per_branch: {:?} }}",
-            self.warmup_fraction, self.track_per_branch
-        )
-    }
     /// Runs `kind` over `trace` and returns the measured result.
     ///
     /// For LLBP designs the result additionally carries the predictor's
@@ -157,7 +110,8 @@ impl SimConfig {
 
     /// [`SimConfig::run`] under a cooperative [`CancelToken`]: the sweep
     /// engine's watchdog path, where a hung cell must abandon itself at
-    /// the token's deadline instead of stalling the whole campaign.
+    /// the token's deadline instead of stalling the whole campaign. The
+    /// loop polls the token every [`crate::SIM_BLOCK`] records.
     ///
     /// # Errors
     ///
@@ -171,8 +125,10 @@ impl SimConfig {
         self.run_observed(kind, trace, token, &llbp_obs::Counter::noop())
     }
 
-    /// [`SimConfig::run_cancellable`] with a sampled progress counter
-    /// threaded into the hot loop (see [`Simulator::run_observed`]).
+    /// [`SimConfig::run_cancellable`] with a progress counter, bumped by
+    /// each block's record count (pass [`llbp_obs::Counter::noop`] when
+    /// telemetry is off). A completed run reports exactly [`Trace::len`]
+    /// records.
     ///
     /// # Errors
     ///
@@ -187,11 +143,11 @@ impl SimConfig {
         self.run_recorded(kind, trace, token, records, &mut ProvRecorder::disabled())
     }
 
-    /// [`SimConfig::run_observed`] with a provenance recorder threaded
-    /// into whichever execution backend runs the cell (see
-    /// [`Simulator::run_recorded`]). A disabled recorder leaves every
-    /// backend's loop — and therefore every result and output byte —
-    /// exactly as it was without the recorder.
+    /// [`SimConfig::run_observed`] with a provenance recorder: every
+    /// *measured* conditional branch is offered to `prov` together with
+    /// the predictor's [`llbp_tage::PredictionInfo`]. Recording is
+    /// observational — a disabled recorder and an enabled one produce the
+    /// same result.
     ///
     /// # Errors
     ///
@@ -204,46 +160,53 @@ impl SimConfig {
         records: &llbp_obs::Counter,
         prov: &mut ProvRecorder,
     ) -> Result<SimResult, SimError> {
-        match self.backend.resolve() {
-            BackendKind::Reference => self.run_reference(kind, trace, token, records, prov),
-            BackendKind::Specialized => {
-                crate::backend::run_specialized(self, &kind, trace, token, records, prov)
+        // One arm per predictor type, each its own instantiation of the
+        // loop, so `step` and `update_history` dispatch statically.
+        let sim = Simulation { cfg: self, trace, token, progress: records, prov };
+        match kind {
+            PredictorKind::Tsl64K => sim.run(&mut TageScl::new(TslConfig::cbp64k())),
+            PredictorKind::TslScaled(f) => sim.run(&mut TageScl::new(TslConfig::scaled(f))),
+            PredictorKind::InfTage => sim.run(&mut TageScl::new(TslConfig::infinite_tage())),
+            PredictorKind::InfTsl => sim.run(&mut TageScl::new(TslConfig::infinite_tsl())),
+            PredictorKind::CustomTsl(cfg) => sim.run(&mut TageScl::new(cfg)),
+            PredictorKind::Gshare { index_bits, history_bits } => {
+                sim.run(&mut Gshare::new(index_bits, history_bits))
             }
-            BackendKind::Batch => {
-                crate::backend::run_batch(self, &kind, trace, token, records, prov)
+            PredictorKind::TwoLevelLocal { bht_bits, local_bits } => {
+                sim.run(&mut TwoLevelLocal::new(bht_bits, local_bits))
             }
-            BackendKind::Auto => unreachable!("resolve() always returns a concrete backend"),
+            PredictorKind::HashedPerceptron { tables, index_bits, segment_bits } => {
+                sim.run(&mut HashedPerceptron::new(tables, index_bits, segment_bits))
+            }
+            PredictorKind::Llbp(params) => {
+                let mut predictor = LlbpPredictor::new(params);
+                let result = sim.run(&mut predictor)?;
+                let llbp = LlbpCellStats {
+                    llbp: predictor.stats().clone(),
+                    frontend: *predictor.frontend().stats(),
+                };
+                Ok(SimResult { llbp: Some(llbp), ..result })
+            }
         }
     }
 
-    /// The reference backend: the original scalar `dyn Predictor` loop.
-    fn run_reference(
-        &self,
-        kind: PredictorKind,
-        trace: &Trace,
-        token: &CancelToken,
-        records: &llbp_obs::Counter,
-        prov: &mut ProvRecorder,
-    ) -> Result<SimResult, SimError> {
-        if let PredictorKind::Llbp(params) = kind {
-            let mut predictor = LlbpPredictor::new(params);
-            let mut result =
-                Simulator::new(*self).run_recorded(&mut predictor, trace, token, records, prov)?;
-            result.llbp = Some(LlbpCellStats {
-                llbp: predictor.stats().clone(),
-                frontend: *predictor.frontend().stats(),
-            });
-            return Ok(result);
-        }
-        let mut predictor = kind.build();
-        Simulator::new(*self).run_recorded(predictor.as_mut(), trace, token, records, prov)
-    }
-
-    /// Runs a pre-built predictor (for callers that need to inspect its
-    /// internal state afterwards, e.g. LLBP statistics).
+    /// Runs a pre-built predictor through the same loop (for custom
+    /// predictors, and for callers that inspect its internal state
+    /// afterwards, e.g. LLBP statistics). [`SimResult::llbp`] stays
+    /// `None`: the loop cannot see a predictor's internals.
     #[must_use]
     pub fn run_predictor(&self, predictor: &mut dyn Predictor, trace: &Trace) -> SimResult {
-        Simulator::new(*self).run(predictor, trace)
+        let sim = Simulation {
+            cfg: self,
+            trace,
+            token: &CancelToken::none(),
+            progress: &llbp_obs::Counter::noop(),
+            prov: &mut ProvRecorder::disabled(),
+        };
+        match sim.run(predictor) {
+            Ok(result) => result,
+            Err(_) => unreachable!("a no-op cancel token never fires"),
+        }
     }
 }
 
@@ -261,17 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_text_excludes_backend() {
-        let base = SimConfig::default();
-        for backend in BackendKind::CONCRETE {
-            assert_eq!(
-                base.with_backend(backend).fingerprint_text(),
-                base.fingerprint_text(),
-                "backend choice must not split memo caches"
-            );
-        }
-        let tracked = SimConfig { track_per_branch: true, ..base };
-        assert_ne!(tracked.fingerprint_text(), base.fingerprint_text());
+    fn debug_form_is_stable() {
+        // Memo cells are keyed by the `Debug` form; changing it orphans
+        // every cached cell.
+        assert_eq!(
+            format!("{:?}", SimConfig::default()),
+            "SimConfig { warmup_fraction: 0.3333333333333333, track_per_branch: false }"
+        );
     }
 
     #[test]

@@ -1,4 +1,14 @@
 //! The trace-driven simulation loop.
+//!
+//! One loop runs every simulation. Per trace record it calls
+//! [`Predictor::step`] on a conditional branch (predict, then train on the
+//! resolved outcome) and [`Predictor::update_history`] on every branch.
+//! It walks the trace's structure-of-arrays view ([`Trace::soa`]) in
+//! [`SIM_BLOCK`]-record blocks: cancellation polls and progress
+//! accounting happen at block boundaries, and a measured block's
+//! instruction count is one vectorizable sum over its packed-meta column.
+//! No block straddles the warmup boundary, so each block is either all
+//! warmup or all measured.
 
 use crate::config::SimConfig;
 use crate::error::{CancelToken, SimError};
@@ -6,7 +16,16 @@ use bputil::hash::FastHashMap;
 use llbp_core::LlbpStats;
 use llbp_prov::ProvRecorder;
 use llbp_tage::{FrontEndStats, Predictor, ProviderKind};
-use llbp_trace::{BranchKind, Trace};
+use llbp_trace::Trace;
+
+/// Records per block of the simulation loop. A power of two, small
+/// enough that a watchdog deadline is honored within milliseconds.
+pub const SIM_BLOCK: usize = 4096;
+
+/// Packed-meta decode masks (see [`llbp_trace::BranchRecord::packed_meta`]).
+const META_KIND_MASK: u32 = 0x7;
+const META_COND: u32 = 0; // BranchKind::Conditional encoding
+const META_TAKEN_BIT: u32 = 0x8;
 
 /// Internal LLBP predictor statistics captured alongside a [`SimResult`]
 /// when the simulated design is an LLBP (bandwidth, energy and breakdown
@@ -77,95 +96,34 @@ impl SimResult {
     }
 }
 
-/// Drives a [`Predictor`] over a [`Trace`]: warmup, then measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct Simulator {
-    config: SimConfig,
+/// One simulation's inputs other than the predictor.
+pub(crate) struct Simulation<'a> {
+    pub(crate) cfg: &'a SimConfig,
+    pub(crate) trace: &'a Trace,
+    pub(crate) token: &'a CancelToken,
+    /// Bumped by each block's record count, so a completed run reports
+    /// exactly [`Trace::len`] records.
+    pub(crate) progress: &'a llbp_obs::Counter,
+    /// Offered every *measured* conditional branch with its
+    /// [`llbp_tage::PredictionInfo`]; warmup branches are never recorded.
+    pub(crate) prov: &'a mut ProvRecorder,
 }
 
-impl Simulator {
-    /// Creates a simulator with the given configuration.
-    #[must_use]
-    pub fn new(config: SimConfig) -> Self {
-        Self { config }
-    }
-
-    /// Runs the CBP-style loop: for each conditional branch `predict`,
-    /// compare, `train`; for every branch `update_history`.
-    pub fn run(&self, predictor: &mut dyn Predictor, trace: &Trace) -> SimResult {
-        match self.run_cancellable(predictor, trace, &CancelToken::none()) {
-            Ok(result) => result,
-            Err(_) => unreachable!("a no-op cancel token never fires"),
-        }
-    }
-
-    /// How many branch records the loop processes between cancellation
-    /// polls. A power of two so the check compiles to a mask; small
-    /// enough that a watchdog deadline is honored within milliseconds.
-    pub const CANCEL_POLL_INTERVAL: usize = 8192;
-
-    /// [`Simulator::run`] with cooperative cancellation: the loop polls
-    /// `token` every [`Simulator::CANCEL_POLL_INTERVAL`] records and
-    /// abandons the simulation once it fires. This is the watchdog
-    /// mechanism for hung or injected-slow sweep cells — nothing is
-    /// forcibly killed, the loop just returns early.
+impl Simulation<'_> {
+    /// Runs `predictor` over the trace: warmup, then measurement.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Timeout`] when the token fires mid-run.
-    pub fn run_cancellable(
-        &self,
-        predictor: &mut dyn Predictor,
-        trace: &Trace,
-        token: &CancelToken,
+    pub(crate) fn run<P: Predictor + ?Sized>(
+        self,
+        predictor: &mut P,
     ) -> Result<SimResult, SimError> {
-        self.run_observed(predictor, trace, token, &llbp_obs::Counter::noop())
-    }
-
-    /// [`Simulator::run_cancellable`] with a *sampled* progress counter:
-    /// `records` is bumped by [`Simulator::CANCEL_POLL_INTERVAL`] at each
-    /// cancellation poll (plus the sub-interval tail once the loop
-    /// finishes, so a completed run always reports exactly
-    /// [`Trace::len`] records), giving telemetry simulation progress at
-    /// poll granularity while the per-record loop stays untouched. Pass a
-    /// pre-resolved counter ([`llbp_obs::Counter::noop`] when telemetry
-    /// is off — a null-pointer branch every 8192 records, nothing more).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Timeout`] when the token fires mid-run.
-    pub fn run_observed(
-        &self,
-        predictor: &mut dyn Predictor,
-        trace: &Trace,
-        token: &CancelToken,
-        records: &llbp_obs::Counter,
-    ) -> Result<SimResult, SimError> {
-        self.run_recorded(predictor, trace, token, records, &mut ProvRecorder::disabled())
-    }
-
-    /// [`Simulator::run_observed`] with a provenance recorder: every
-    /// *measured* conditional branch is offered to `prov` together with
-    /// the predictor's [`PredictionInfo`] (warmup branches are never
-    /// recorded). With a disabled recorder this is the exact reference
-    /// loop — the recorder hook costs one predictable branch per
-    /// measured conditional and touches nothing else, so results and
-    /// output stay byte-identical.
-    ///
-    /// [`PredictionInfo`]: llbp_tage::PredictionInfo
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Timeout`] when the token fires mid-run.
-    pub fn run_recorded(
-        &self,
-        predictor: &mut dyn Predictor,
-        trace: &Trace,
-        token: &CancelToken,
-        records: &llbp_obs::Counter,
-        prov: &mut ProvRecorder,
-    ) -> Result<SimResult, SimError> {
-        let warmup = warmup_len(&self.config, trace);
+        let Simulation { cfg, trace, token, progress, prov } = self;
+        let warmup = (trace.len() as f64 * cfg.warmup_fraction.clamp(0.0, 1.0)) as usize;
+        let soa = trace.soa();
+        let (pcs, metas) = (soa.pcs(), soa.metas());
+        let records = trace.records();
         let mut result = SimResult {
             label: predictor.label().to_string(),
             workload: trace.name().to_string(),
@@ -173,83 +131,58 @@ impl Simulator {
             conditional_branches: 0,
             mispredictions: 0,
             provider_counts: FastHashMap::default(),
-            per_branch_mispredicts: self.config.track_per_branch.then(FastHashMap::default),
-            per_branch_executions: self.config.track_per_branch.then(FastHashMap::default),
+            per_branch_mispredicts: cfg.track_per_branch.then(FastHashMap::default),
+            per_branch_executions: cfg.track_per_branch.then(FastHashMap::default),
             llbp: None,
         };
         // Providers are a tiny closed set; counting into a fixed array and
-        // materialising the map once afterwards keeps string hashing out of
-        // the per-branch loop.
-        let mut provider_counts = [0u64; ProviderKind::COUNT];
-        let mut reported = 0u64;
-        for (i, record) in trace.iter().enumerate() {
-            if i % Self::CANCEL_POLL_INTERVAL == 0 {
-                if token.is_cancelled() {
-                    return Err(token.cancellation_error());
-                }
-                if i > 0 {
-                    records.add(Self::CANCEL_POLL_INTERVAL as u64);
-                    reported += Self::CANCEL_POLL_INTERVAL as u64;
-                }
+        // materialising the map once afterwards keeps string hashing out
+        // of the loop.
+        let mut providers = [0u64; ProviderKind::COUNT];
+        let mut i = 0;
+        while i < records.len() {
+            if token.is_cancelled() {
+                return Err(token.cancellation_error());
             }
-            let measuring = i >= warmup;
-            if measuring {
-                result.instructions += record.instructions();
+            let measured = i >= warmup;
+            let end = (i + SIM_BLOCK).min(if measured { records.len() } else { warmup });
+            if measured {
+                result.instructions +=
+                    metas[i..end].iter().map(|&meta| u64::from(meta >> 4) + 1).sum::<u64>();
             }
-            if record.kind() == BranchKind::Conditional {
-                let pred = predictor.predict(record.pc());
-                let wrong = pred != record.taken();
-                if measuring {
-                    result.conditional_branches += 1;
-                    result.mispredictions += u64::from(wrong);
-                    provider_counts[predictor.last_provider().ordinal()] += 1;
-                    if prov.is_enabled() {
-                        let info = predictor.last_prediction_info(pred);
-                        prov.record(record.pc(), record.taken(), &info);
-                    }
-                    if let Some(map) = &mut result.per_branch_executions {
-                        *map.entry(record.pc()).or_default() += 1;
-                    }
-                    if wrong {
-                        if let Some(map) = &mut result.per_branch_mispredicts {
-                            *map.entry(record.pc()).or_default() += 1;
+            for j in i..end {
+                let meta = metas[j];
+                if meta & META_KIND_MASK == META_COND {
+                    let (pc, taken) = (pcs[j], meta & META_TAKEN_BIT != 0);
+                    let info = predictor.step(pc, taken);
+                    if measured {
+                        let wrong = info.pred != taken;
+                        result.conditional_branches += 1;
+                        result.mispredictions += u64::from(wrong);
+                        providers[info.provider.ordinal()] += 1;
+                        if let Some(map) = &mut result.per_branch_executions {
+                            *map.entry(pc).or_default() += 1;
                         }
+                        if wrong {
+                            if let Some(map) = &mut result.per_branch_mispredicts {
+                                *map.entry(pc).or_default() += 1;
+                            }
+                        }
+                        prov.record(pc, taken, &info);
                     }
                 }
-                predictor.train(record.pc(), record.taken());
+                predictor.update_history(&records[j]);
             }
-            predictor.update_history(record);
+            progress.add((end - i) as u64);
+            i = end;
         }
-        // The polls only report full intervals; account for the trailing
-        // `len % CANCEL_POLL_INTERVAL` records (and the final full chunk,
-        // which has no poll after it) so a completed run's counter totals
-        // exactly the trace length.
-        records.add(trace.len() as u64 - reported);
-        result.provider_counts = finish_provider_counts(&provider_counts);
+        for (ordinal, &count) in providers.iter().enumerate() {
+            if count > 0 {
+                result.provider_counts.insert(ProviderKind::LABELS[ordinal], count);
+            }
+        }
         Ok(result)
     }
-}
-
-/// The number of leading warmup records for `trace` under `config`:
-/// statistics are collected only after this index. Shared by every
-/// execution backend so the warmup split can never diverge between tiers.
-pub(crate) fn warmup_len(config: &SimConfig, trace: &Trace) -> usize {
-    (trace.len() as f64 * config.warmup_fraction.clamp(0.0, 1.0)) as usize
-}
-
-/// Materializes the per-ordinal provider counting array into the report
-/// map, skipping zero entries. Shared by every execution backend so the
-/// map shape (which keys are present) can never diverge between tiers.
-pub(crate) fn finish_provider_counts(
-    counts: &[u64; ProviderKind::COUNT],
-) -> FastHashMap<&'static str, u64> {
-    let mut map = FastHashMap::default();
-    for (ordinal, &count) in counts.iter().enumerate() {
-        if count > 0 {
-            map.insert(ProviderKind::LABELS[ordinal], count);
-        }
-    }
-    map
 }
 
 #[cfg(test)]
@@ -272,8 +205,7 @@ mod tests {
     #[test]
     fn per_branch_tracking_sums_to_totals() {
         let trace = WorkloadSpec::named(Workload::Tpcc).with_branches(8_000).generate();
-        let cfg =
-            SimConfig { warmup_fraction: 0.25, track_per_branch: true, ..SimConfig::default() };
+        let cfg = SimConfig { warmup_fraction: 0.25, track_per_branch: true };
         let r = cfg.run(PredictorKind::Tsl64K, &trace);
         let sum_mis: u64 = r.per_branch_mispredicts.as_ref().unwrap().values().sum();
         let sum_exec: u64 = r.per_branch_executions.as_ref().unwrap().values().sum();
@@ -302,39 +234,64 @@ mod tests {
         let trace = WorkloadSpec::named(Workload::Http).with_branches(5_000).generate();
         let token = CancelToken::manual();
         token.cancel();
-        let mut predictor = PredictorKind::Tsl64K.build();
-        let err = Simulator::new(SimConfig::default())
-            .run_cancellable(predictor.as_mut(), &trace, &token)
+        let err = SimConfig::default()
+            .run_cancellable(PredictorKind::Tsl64K, &trace, &token)
             .expect_err("a pre-cancelled token must abort the run");
         assert_eq!(err.class(), "timeout");
 
         // An inert token runs to completion with the identical result.
-        let mut a = PredictorKind::Tsl64K.build();
-        let mut b = PredictorKind::Tsl64K.build();
-        let plain = Simulator::new(SimConfig::default()).run(a.as_mut(), &trace);
-        let tokened = Simulator::new(SimConfig::default())
-            .run_cancellable(b.as_mut(), &trace, &CancelToken::none())
+        let plain = SimConfig::default().run(PredictorKind::Tsl64K, &trace);
+        let tokened = SimConfig::default()
+            .run_cancellable(PredictorKind::Tsl64K, &trace, &CancelToken::none())
             .expect("inert token never cancels");
         assert_eq!(plain, tokened);
     }
 
     #[test]
+    fn cancellation_is_honored_within_one_block() {
+        // A token that is already cancelled must stop the run at the first
+        // block boundary: the error surfaces and no more than one block of
+        // progress is ever reported.
+        let trace = WorkloadSpec::named(Workload::Tomcat).with_branches(3 * SIM_BLOCK).generate();
+        let token = CancelToken::manual();
+        token.cancel();
+        let telemetry = llbp_obs::Telemetry::enabled();
+        let progress = telemetry.counter("sim_records_total");
+        let result =
+            SimConfig::default().run_observed(PredictorKind::Tsl64K, &trace, &token, &progress);
+        assert!(result.is_err(), "the loop ignored a cancelled token");
+        assert!(
+            progress.get() <= SIM_BLOCK as u64,
+            "the loop ran {} records past a cancelled token",
+            progress.get(),
+        );
+    }
+
+    #[test]
     fn progress_counter_reports_exactly_the_trace_length() {
-        // The sampled counter used to add only full CANCEL_POLL_INTERVAL
-        // chunks at poll boundaries, silently dropping the trailing
-        // `len % 8192` records of every run. Cover a sub-interval trace,
-        // an exact multiple, and a multi-interval trace with a tail.
-        for len in [100, Simulator::CANCEL_POLL_INTERVAL, 2 * Simulator::CANCEL_POLL_INTERVAL + 77]
-        {
+        // Progress is reported per block, so the trailing partial block
+        // must be counted too. Cover a sub-block trace, an exact block,
+        // and a multi-block trace with a tail.
+        for len in [100, SIM_BLOCK, 2 * SIM_BLOCK + 77] {
             let trace = WorkloadSpec::named(Workload::Http).with_branches(len).generate();
             let telemetry = llbp_obs::Telemetry::enabled();
             let counter = telemetry.counter("sim_records_total");
-            let mut predictor = PredictorKind::Tsl64K.build();
-            Simulator::new(SimConfig::default())
-                .run_observed(predictor.as_mut(), &trace, &CancelToken::none(), &counter)
+            SimConfig::default()
+                .run_observed(PredictorKind::Tsl64K, &trace, &CancelToken::none(), &counter)
                 .expect("inert token never cancels");
             assert_eq!(counter.get(), trace.len() as u64, "len={len}");
         }
+    }
+
+    #[test]
+    fn meta_masks_match_record_encoding() {
+        use llbp_trace::{BranchKind, BranchRecord};
+        let cond = BranchRecord::conditional(0x40, 0x80, true, 5);
+        assert_eq!(cond.packed_meta() & META_KIND_MASK, META_COND);
+        assert_eq!(cond.packed_meta() & META_TAKEN_BIT != 0, cond.taken());
+        assert_eq!(u64::from(cond.packed_meta() >> 4) + 1, cond.instructions());
+        let ret = BranchRecord::unconditional(0x40, 0x80, BranchKind::Return, 5);
+        assert_ne!(ret.packed_meta() & META_KIND_MASK, META_COND);
     }
 
     #[test]

@@ -62,7 +62,7 @@ use crate::faultinject::FaultInjector;
 use crate::journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 use crate::memo::MemoStore;
 use bputil::hash::FastHashMap;
-use llbp_obs::{HistogramSnapshot, Telemetry};
+use llbp_obs::Telemetry;
 use llbp_prov::{ProvConfig, ProvRecorder};
 use llbp_trace::{Fingerprint, WorkloadSpec};
 use std::collections::HashSet;
@@ -403,15 +403,6 @@ pub struct SweepReport {
     pub lock_wait: Duration,
     /// Dead-holder lock takeovers performed while opening the journal.
     pub lock_takeovers: u64,
-    /// Per-cell wall-time distribution in microseconds (simulation wall
-    /// for simulated cells, probe wall for memo-served ones; failed
-    /// placeholders excluded). Built for every run — telemetry need not
-    /// be enabled.
-    pub cell_wall: HistogramSnapshot,
-    /// Label of the *resolved* execution backend that ran the simulated
-    /// cells (`auto` never appears here — the concrete tier it picked
-    /// does), so archived throughput records say what actually ran.
-    pub backend: &'static str,
     /// Storage tier serving memoized cells (`"local"`, `"remote"`, or
     /// `"none"` for storeless sweeps), so archived throughput records
     /// say where the cells came from.
@@ -453,6 +444,20 @@ impl SweepReport {
         self.jobs.iter().map(|j| j.stats.branches).sum()
     }
 
+    /// Wall time of every cell that produced a result, ascending:
+    /// simulation wall for simulated cells, probe wall for memo-served
+    /// ones. Failed placeholders are excluded.
+    #[must_use]
+    pub fn cell_walls(&self) -> Vec<Duration> {
+        let failed: HashSet<usize> = self.failed.iter().map(|e| e.index).collect();
+        let mut walls: Vec<Duration> = (self.jobs.iter().enumerate())
+            .filter(|(index, _)| !failed.contains(index))
+            .map(|(_, record)| record.stats.wall)
+            .collect();
+        walls.sort_unstable();
+        walls
+    }
+
     /// Aggregate simulated branches per second of sweep wall time.
     #[must_use]
     pub fn branches_per_sec(&self) -> f64 {
@@ -471,10 +476,12 @@ impl SweepReport {
     #[must_use]
     pub fn throughput_json(&self, label: &str) -> String {
         let sanitize = |s: &str| s.replace(['"', '\\'], "_");
+        let walls = self.cell_walls();
+        let wall_ms = |q: f64| nearest_rank(&walls, q).as_secs_f64() * 1000.0;
         let mut line = format!(
             concat!(
                 "{{\"event\":\"sweep_throughput\",\"label\":\"{}\",",
-                "\"backend\":\"{}\",\"store\":\"{}\",",
+                "\"store\":\"{}\",",
                 "\"jobs\":{},\"workers\":{},\"branches\":{},",
                 "\"wall_s\":{:.3},\"branches_per_sec\":{:.0},",
                 "\"cache_hits\":{},\"cache_misses\":{},",
@@ -485,7 +492,6 @@ impl SweepReport {
                 "\"cell_wall_max_ms\":{:.3}"
             ),
             sanitize(label),
-            self.backend,
             self.store_tier,
             self.jobs.len(),
             self.workers,
@@ -502,9 +508,9 @@ impl SweepReport {
             self.trace_bytes as f64 / (1024.0 * 1024.0),
             self.lock_wait.as_secs_f64() * 1000.0,
             self.lock_takeovers,
-            self.cell_wall.quantile(0.5) as f64 / 1000.0,
-            self.cell_wall.quantile(0.95) as f64 / 1000.0,
-            self.cell_wall.max as f64 / 1000.0,
+            wall_ms(0.5),
+            wall_ms(0.95),
+            wall_ms(1.0),
         );
         if !self.failed.is_empty() {
             line.push_str(",\"failed\":[");
@@ -885,13 +891,9 @@ impl SweepEngine {
         claimed.sort_unstable_by_key(|&(index, _)| index);
         let mut jobs = Vec::with_capacity(n);
         let mut failed = Vec::new();
-        let mut cell_wall = HistogramSnapshot::default();
         for (index, outcome) in claimed {
             match outcome {
-                Ok((record, _digest)) => {
-                    cell_wall.record(record.stats.wall.as_micros() as u64);
-                    jobs.push(record);
-                }
+                Ok((record, _digest)) => jobs.push(record),
                 Err(err) => {
                     // A placeholder keeps dense grid indexing valid;
                     // `failed` is the authoritative record of the gap.
@@ -918,8 +920,6 @@ impl SweepEngine {
             stale: stale_count,
             lock_wait,
             lock_takeovers,
-            cell_wall,
-            backend: spec.sim.backend.resolve().label(),
             store_tier: self.store.as_ref().map_or("none", |store| store.tier()),
             prov: self.prov_summary(&fingerprints),
         };
@@ -1257,6 +1257,14 @@ impl SweepEngine {
     }
 }
 
+/// The nearest-rank `q`-quantile (`0 < q <= 1`) of ascending `sorted`:
+/// the smallest element with at least `q` of the elements at or below
+/// it. Zero for an empty slice.
+fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1).copied().unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1286,6 +1294,43 @@ mod tests {
     fn run_indexed_handles_empty_input() {
         let out: Vec<usize> = run_indexed(4, 0, |i| i);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn cell_wall_percentiles_are_exact_nearest_rank() {
+        // Four cells walled 1, 2, 3 ms and 100 ms, the last one failed:
+        // its placeholder is excluded, and p50 is the middle wall exactly
+        // (a log2-bucketed histogram would report the 2047 µs bucket edge).
+        let spec = SweepSpec::new(
+            vec![PredictorKind::Gshare { index_bits: 8, history_bits: 8 }],
+            [Workload::Http, Workload::Kafka, Workload::Tpcc, Workload::Tomcat]
+                .into_iter()
+                .map(|w| WorkloadSpec::named(w).with_branches(200))
+                .collect(),
+            SimConfig::default(),
+        );
+        let mut report = SweepEngine::with_workers(1).run(&spec);
+        for (record, ms) in report.jobs.iter_mut().zip([1, 2, 3, 100]) {
+            record.stats.wall = Duration::from_millis(ms);
+        }
+        report.failed.push(JobError {
+            job: report.jobs[3].job,
+            index: 3,
+            predictor: "p".into(),
+            workload: "w".into(),
+            attempts: 1,
+            error: SimError::Injected { detail: "test".into() },
+        });
+        assert_eq!(report.cell_walls().len(), 3);
+        let json = report.throughput_json("walls");
+        for field in [
+            "\"cell_wall_p50_ms\":2.000,",
+            "\"cell_wall_p95_ms\":3.000,",
+            "\"cell_wall_max_ms\":3.000",
+        ] {
+            assert!(json.contains(field), "missing {field}: {json}");
+        }
+        assert_eq!(nearest_rank(&[], 0.5), Duration::ZERO);
     }
 
     #[test]

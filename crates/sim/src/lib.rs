@@ -15,7 +15,6 @@
 //! assert!(big.mpki() <= base.mpki() * 1.2);
 //! ```
 
-pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod coord;
@@ -36,11 +35,10 @@ pub mod serve;
 pub mod store;
 pub mod timing;
 
-pub use backend::{BackendKind, BACKEND_ENV, BATCH_BLOCK};
 pub use cache::TraceCache;
 pub use config::{PredictorKind, SimConfig};
 pub use coord::{finish_campaign, run_shard, CellInterlock, ShardConfig, WORKER_ABORT_ENV};
-pub use driver::{LlbpCellStats, SimResult, Simulator};
+pub use driver::{LlbpCellStats, SimResult, SIM_BLOCK};
 pub use energy::EnergyModel;
 pub use engine::{JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
 pub use error::{CancelToken, SimError};

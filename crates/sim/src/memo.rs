@@ -276,10 +276,7 @@ impl MemoStore {
         let mut h = self.base_hasher("llbp-result");
         h.write_str(&kind.fingerprint_text());
         h.write_str(&format!("{workload:?}"));
-        // `fingerprint_text`, not `{sim:?}`: the execution backend is a
-        // parity-pinned throughput choice, so cells must be shared across
-        // backends (and stores written before backends existed stay warm).
-        h.write_str(&sim.fingerprint_text());
+        h.write_str(&format!("{sim:?}"));
         h.finish()
     }
 
@@ -948,13 +945,6 @@ mod tests {
             "sim config must be keyed"
         );
         assert_ne!(store.trace_fingerprint(&spec), base, "domains must not collide");
-        for backend in crate::backend::BackendKind::CONCRETE {
-            assert_eq!(
-                base,
-                store.result_fingerprint(&PredictorKind::Tsl64K, &spec, &sim.with_backend(backend)),
-                "backend must NOT be keyed: parity-pinned tiers share memo cells"
-            );
-        }
         let _ = fs::remove_dir_all(dir);
     }
 

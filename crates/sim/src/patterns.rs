@@ -18,7 +18,7 @@ use llbp_trace::{BranchKind, Trace};
 /// 64K TSL baseline, most-mispredicted first.
 #[must_use]
 pub fn rank_by_mispredictions(trace: &Trace) -> Vec<(u64, u64)> {
-    let cfg = SimConfig { warmup_fraction: 0.0, track_per_branch: true, ..SimConfig::default() };
+    let cfg = SimConfig { warmup_fraction: 0.0, track_per_branch: true };
     let result = cfg.run(PredictorKind::Tsl64K, trace);
     let mut ranked: Vec<(u64, u64)> =
         result.per_branch_mispredicts.expect("per-branch tracking enabled").into_iter().collect();

@@ -21,7 +21,6 @@
 //! packet capture, which matters more than byte-count here (specs are
 //! tiny next to the cells they describe).
 
-use crate::backend::BackendKind;
 use crate::config::{PredictorKind, SimConfig};
 use crate::engine::SweepSpec;
 use crate::error::SimError;
@@ -30,8 +29,9 @@ use llbp_tage::{StorageKind, TageConfig, TslConfig};
 use llbp_trace::{WorkloadParams, WorkloadSpec};
 use std::fmt::Write as _;
 
-/// Format header; bump on any field change.
-const HEADER: &str = "llbp-sweep-wire 1";
+/// Format header; bump on any field change. Version 2 dropped the
+/// execution-backend token from the `sim` line.
+const HEADER: &str = "llbp-sweep-wire 2";
 
 /// Sentinel token for an empty list (a bare comma-join of zero items
 /// would be indistinguishable from a missing token).
@@ -49,10 +49,9 @@ pub fn encode_spec(spec: &SweepSpec) -> Vec<u8> {
     out.push('\n');
     let _ = writeln!(
         out,
-        "sim {} {} {}",
+        "sim {} {}",
         fbits(spec.sim.warmup_fraction),
         u8::from(spec.sim.track_per_branch),
-        spec.sim.backend.label(),
     );
     for workload in &spec.workloads {
         let mut line = format!("workload {} {}", esc(workload.name()), workload.branches());
@@ -230,8 +229,7 @@ fn decode_inner(bytes: &[u8]) -> Result<SweepSpec, String> {
             "sim" => {
                 let warmup_fraction = parse_fbits(toks.next("warmup bits")?)?;
                 let track_per_branch = parse_bool(toks.next("track flag")?)?;
-                let backend: BackendKind = toks.parse("backend")?;
-                sim = Some(SimConfig { warmup_fraction, track_per_branch, backend });
+                sim = Some(SimConfig { warmup_fraction, track_per_branch });
             }
             "workload" => {
                 let name = unesc(toks.next("workload name")?)?;
@@ -528,11 +526,7 @@ mod tests {
             llbp_trace::WorkloadSpec::named(llbp_trace::Workload::Http).with_branches(5_000),
             WorkloadSpec::custom("custom workload", params).with_branches(7_777),
         ];
-        let sim = SimConfig {
-            warmup_fraction: 1.0 / 3.0,
-            track_per_branch: true,
-            backend: BackendKind::Batch,
-        };
+        let sim = SimConfig { warmup_fraction: 1.0 / 3.0, track_per_branch: true };
         SweepSpec::new(predictors, workloads, sim)
     }
 
@@ -570,11 +564,11 @@ mod tests {
     fn malformed_specs_reject_with_config_errors() {
         for bad in [
             &b""[..],
-            b"llbp-sweep-wire 999\nsim 0 0 auto",
-            b"llbp-sweep-wire 1\nsim zz 0 auto\nworkload a 1",
-            b"llbp-sweep-wire 1\nwormhole x",
-            b"llbp-sweep-wire 1\nsim 3fd5555555555555 0 auto",
-            b"llbp-sweep-wire 1\nsim 3fd5555555555555 0 auto\npredictor warp",
+            b"llbp-sweep-wire 999\nsim 0 0",
+            b"llbp-sweep-wire 2\nsim zz 0\nworkload a 1",
+            b"llbp-sweep-wire 2\nwormhole x",
+            b"llbp-sweep-wire 2\nsim 3fd5555555555555 0",
+            b"llbp-sweep-wire 2\nsim 3fd5555555555555 0\npredictor warp",
         ] {
             let err = decode_spec(bad).expect_err("must reject");
             assert_eq!(err.class(), "config");
@@ -583,5 +577,20 @@ mod tests {
         let mut wire = encode_spec(&kitchen_sink_spec());
         wire.extend_from_slice(b" extra");
         assert!(decode_spec(&wire).is_err());
+    }
+
+    #[test]
+    fn version_1_specs_with_a_backend_token_are_refused() {
+        // Version 1 carried an execution-backend token on the `sim` line.
+        // Neither the old header nor the old `sim` line may misparse.
+        let current = String::from_utf8(encode_spec(&kitchen_sink_spec())).expect("UTF-8");
+        let (header, body) = current.split_once('\n').expect("header line");
+        assert_eq!(header, HEADER);
+        let (sim_line, rest) = body.split_once('\n').expect("sim line");
+        let old_sim = format!("{sim_line} batch\n{rest}");
+        for old in [format!("llbp-sweep-wire 1\n{old_sim}"), format!("{HEADER}\n{old_sim}")] {
+            let err = decode_spec(old.as_bytes()).expect_err("old format must be refused");
+            assert!(matches!(err, SimError::Config { .. }), "{err:?}");
+        }
     }
 }

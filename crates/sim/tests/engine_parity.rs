@@ -1,6 +1,6 @@
 //! The sweep engine must be bit-identical to the serial simulation path:
 //! for every grid cell, the engine's `SimResult` equals what a plain
-//! `Simulator::run` over a freshly generated trace produces, at any worker
+//! `SimConfig::run` over a freshly generated trace produces, at any worker
 //! count.
 
 use llbp_sim::engine::{SweepEngine, SweepSpec};
@@ -63,7 +63,7 @@ fn per_branch_tracking_survives_the_engine() {
     let spec = SweepSpec::new(
         vec![PredictorKind::Tsl64K],
         vec![WorkloadSpec::named(Workload::Kafka).with_branches(5_000)],
-        SimConfig { warmup_fraction: 0.25, track_per_branch: true, ..SimConfig::default() },
+        SimConfig { warmup_fraction: 0.25, track_per_branch: true },
     );
     let reference = serial_reference(&spec);
     let report = SweepEngine::with_workers(3).run(&spec);

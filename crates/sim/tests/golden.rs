@@ -14,8 +14,7 @@
 
 use llbp_core::{LlbpParams, LlbpPredictor};
 use llbp_sim::{
-    BackendKind, CancelToken, LlbpCellStats, PredictorKind, ProvConfig, ProvRecorder, SimConfig,
-    SimResult,
+    CancelToken, LlbpCellStats, PredictorKind, ProvConfig, ProvRecorder, SimConfig, SimResult,
 };
 use llbp_tage::classic::{Gshare, HashedPerceptron, TwoLevelLocal};
 use llbp_tage::{Predictor, TageScl, TslConfig};
@@ -140,12 +139,10 @@ fn trace(workload: Workload, branches: usize) -> Trace {
 }
 
 /// Every pinned case, by name, with its current digest.
-fn current(backend: BackendKind) -> Vec<(String, u64)> {
+fn current() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     let tomcat = trace(Workload::Tomcat, 2_500);
-    let tracked =
-        SimConfig { warmup_fraction: 0.25, track_per_branch: true, ..SimConfig::default() }
-            .with_backend(backend);
+    let tracked = SimConfig { warmup_fraction: 0.25, track_per_branch: true };
     for (i, kind) in every_kind().into_iter().enumerate() {
         let r = tracked.run(kind.clone(), &tomcat);
         out.push((format!("tracked/{}/{i}/{}", tomcat.name(), kind.label()), result_digest(&r)));
@@ -153,9 +150,7 @@ fn current(backend: BackendKind) -> Vec<(String, u64)> {
     for workload in [Workload::Kafka, Workload::Http] {
         let t = trace(workload, 2_500);
         for warmup_fraction in [0.0, 1.0 / 3.0, 1.0] {
-            let cfg =
-                SimConfig { warmup_fraction, track_per_branch: false, ..SimConfig::default() }
-                    .with_backend(backend);
+            let cfg = SimConfig { warmup_fraction, track_per_branch: false };
             for kind in [PredictorKind::Tsl64K, PredictorKind::Llbp(LlbpParams::default())] {
                 let r = cfg.run(kind.clone(), &t);
                 out.push((
@@ -173,7 +168,6 @@ fn current(backend: BackendKind) -> Vec<(String, u64)> {
     ] {
         let mut recorder = ProvRecorder::enabled(ProvConfig { sample: 2, ring: 8192 });
         let r = SimConfig::default()
-            .with_backend(backend)
             .run_recorded(
                 kind.clone(),
                 &t,
@@ -193,14 +187,12 @@ fn current(backend: BackendKind) -> Vec<(String, u64)> {
 
 #[test]
 fn every_case_matches_its_golden_digest() {
-    for backend in BackendKind::CONCRETE {
-        let got = current(backend);
-        let table: String =
-            got.iter().map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n")).collect();
-        let expected: Vec<(String, u64)> =
-            GOLDEN.iter().map(|&(name, digest)| (name.to_string(), digest)).collect();
-        assert!(got == expected, "backend `{backend}` drifted; current digests:\n{table}");
-    }
+    let got = current();
+    let table: String =
+        got.iter().map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n")).collect();
+    let expected: Vec<(String, u64)> =
+        GOLDEN.iter().map(|&(name, digest)| (name.to_string(), digest)).collect();
+    assert!(got == expected, "the simulation drifted; current digests:\n{table}");
 }
 
 /// Builds `kind` behind the trait object the open-predictor entry point
@@ -228,7 +220,7 @@ fn build(kind: &PredictorKind) -> Box<dyn Predictor> {
 #[test]
 fn run_predictor_on_a_trait_object_matches_run() {
     let tomcat = trace(Workload::Tomcat, 2_500);
-    let cfg = SimConfig { warmup_fraction: 0.25, track_per_branch: true, ..SimConfig::default() };
+    let cfg = SimConfig { warmup_fraction: 0.25, track_per_branch: true };
     for kind in every_kind() {
         let expected = cfg.run(kind.clone(), &tomcat);
         let got = if let PredictorKind::Llbp(params) = &kind {

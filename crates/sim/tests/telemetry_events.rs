@@ -128,10 +128,10 @@ fn throughput_json_carries_wall_percentiles_and_lock_stats() {
     ] {
         assert!(json.contains(key), "throughput JSON missing {key}: {json}");
     }
-    // Percentiles are ordered and bounded by the max.
-    assert!(report.cell_wall.quantile(0.5) <= report.cell_wall.quantile(0.95));
-    assert!(report.cell_wall.quantile(0.95) <= report.cell_wall.max);
-    assert_eq!(report.cell_wall.count(), report.jobs.len() as u64);
+    // Every cell succeeded, so every cell's wall feeds the percentiles.
+    let walls = report.cell_walls();
+    assert_eq!(walls.len(), report.jobs.len());
+    assert!(walls.windows(2).all(|w| w[0] <= w[1]), "walls are ascending");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

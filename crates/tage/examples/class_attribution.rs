@@ -34,8 +34,7 @@ fn main() {
         let warmup = trace.len() / 3;
         for (i, r) in trace.iter().enumerate() {
             if r.kind() == BranchKind::Conditional {
-                let pred = p.predict(r.pc());
-                p.train(r.pc(), r.taken());
+                let pred = p.step(r.pc(), r.taken()).pred;
                 if i > warmup {
                     let c = class_of(classes.get(&r.pc()).unwrap_or(&None));
                     let e = per.entry(c).or_default();

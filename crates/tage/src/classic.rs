@@ -11,11 +11,11 @@
 //! use llbp_tage::Predictor;
 //!
 //! let mut p = Gshare::new(14, 12);
-//! let _ = p.predict(0x1000);
-//! p.train(0x1000, true);
+//! let info = p.step(0x1000, true); // predict, then train on the outcome
+//! println!("predicted taken: {}", info.pred);
 //! ```
 
-use crate::predictor::{Predictor, ProviderKind};
+use crate::predictor::{PredictionInfo, Predictor, ProviderKind};
 use bputil::counter::SatCounter;
 use bputil::hash::{fold_to_bits, mix64};
 use llbp_trace::{BranchKind, BranchRecord};
@@ -56,23 +56,17 @@ impl Gshare {
 }
 
 impl Predictor for Gshare {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
-    fn train(&mut self, pc: u64, taken: bool) {
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         let i = self.index(pc);
+        let pred = self.table[i].taken();
         self.table[i].update(taken);
+        PredictionInfo::from_provider(pred, ProviderKind::Bimodal)
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
         if record.kind() == BranchKind::Conditional {
             self.history = (self.history << 1) | u64::from(record.taken());
         }
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        ProviderKind::Bimodal
     }
 
     fn label(&self) -> &str {
@@ -125,24 +119,18 @@ impl TwoLevelLocal {
 }
 
 impl Predictor for TwoLevelLocal {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.pattern_table[self.pattern_index(pc)].taken()
-    }
-
-    fn train(&mut self, pc: u64, taken: bool) {
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         let pi = self.pattern_index(pc);
+        let pred = self.pattern_table[pi].taken();
         self.pattern_table[pi].update(taken);
         let hi = self.history_index(pc);
         let mask = (1u16 << self.local_bits) - 1;
         self.histories[hi] = ((self.histories[hi] << 1) | u16::from(taken)) & mask;
+        PredictionInfo::from_provider(pred, ProviderKind::Bimodal)
     }
 
     fn update_history(&mut self, _record: &BranchRecord) {
-        // Local histories advance in `train`; no global state.
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        ProviderKind::Bimodal
+        // Local histories advance in `step`; no global state.
     }
 
     fn label(&self) -> &str {
@@ -166,8 +154,6 @@ pub struct HashedPerceptron {
     history: u64,
     segment_bits: u32,
     threshold: i32,
-    /// Per-prediction state: the last computed sum and indices.
-    last: Option<(i32, Vec<usize>)>,
     label: String,
 }
 
@@ -191,7 +177,6 @@ impl HashedPerceptron {
             history: 0,
             segment_bits,
             threshold: (1.93 * h + 14.0) as i32,
-            last: None,
             label: format!("perceptron-{num_tables}x{index_bits}b"),
         }
     }
@@ -212,31 +197,22 @@ impl HashedPerceptron {
 }
 
 impl Predictor for HashedPerceptron {
-    fn predict(&mut self, pc: u64) -> bool {
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         let (sum, indices) = self.compute(pc);
-        self.last = Some((sum, indices));
-        sum >= 0
-    }
-
-    fn train(&mut self, _pc: u64, taken: bool) {
-        let (sum, indices) = self.last.take().expect("train() without predict()");
-        let correct = (sum >= 0) == taken;
-        if !correct || sum.abs() <= self.threshold {
+        let pred = sum >= 0;
+        if pred != taken || sum.abs() <= self.threshold {
             for (t, &i) in indices.iter().enumerate() {
                 let w = &mut self.tables[t][i];
                 *w = if taken { w.saturating_add(1) } else { w.saturating_sub(1) };
             }
         }
+        PredictionInfo::from_provider(pred, ProviderKind::Bimodal)
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
         if record.kind() == BranchKind::Conditional {
             self.history = (self.history << 1) | u64::from(record.taken());
         }
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        ProviderKind::Bimodal
     }
 
     fn label(&self) -> &str {
@@ -253,8 +229,7 @@ mod tests {
     use super::*;
 
     fn drive(p: &mut dyn Predictor, pc: u64, taken: bool) -> bool {
-        let pred = p.predict(pc);
-        p.train(pc, taken);
+        let pred = p.step(pc, taken).pred;
         p.update_history(&BranchRecord::conditional(pc, pc + 8, taken, 0));
         pred
     }
@@ -325,12 +300,5 @@ mod tests {
         assert!(Gshare::new(10, 8).label().contains("gshare"));
         assert!(TwoLevelLocal::new(8, 8).label().contains("2level"));
         assert!(HashedPerceptron::new(4, 10, 6).label().contains("perceptron"));
-    }
-
-    #[test]
-    #[should_panic(expected = "train() without predict()")]
-    fn perceptron_protocol_enforced() {
-        let mut p = HashedPerceptron::new(4, 10, 6);
-        p.train(0x100, true);
     }
 }

@@ -28,9 +28,8 @@
 //! let mut mispredicts = 0u64;
 //! for r in &trace {
 //!     if r.kind() == llbp_trace::BranchKind::Conditional {
-//!         let pred = tsl.predict(r.pc());
+//!         let pred = tsl.step(r.pc(), r.taken()).pred; // predict, then train
 //!         mispredicts += u64::from(pred != r.taken());
-//!         tsl.train(r.pc(), r.taken());
 //!     }
 //!     tsl.update_history(r);
 //! }

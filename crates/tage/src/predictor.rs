@@ -2,7 +2,7 @@
 
 use llbp_trace::BranchRecord;
 
-/// Which component supplied the final direction of the last prediction.
+/// Which component supplied the final direction of a prediction.
 ///
 /// Used by the simulator to attribute predictions (e.g. the paper's
 /// statistic that 49% of predictions come from the bimodal table, §VII-G).
@@ -65,8 +65,8 @@ impl ProviderKind {
     }
 }
 
-/// Everything a predictor can say about how its most recent prediction
-/// was formed — the provenance record behind one `predict` call.
+/// Everything a predictor can say about how one prediction was formed —
+/// the provenance record [`Predictor::step`] returns.
 ///
 /// This is the unit the `llbp-prov` side-stream captures: which
 /// component provided, whether the providing counter was weak, what the
@@ -74,11 +74,6 @@ impl ProviderKind {
 /// predictors) whether LLBP hit and overrode. Predictors that track
 /// less detail leave the extra fields at their defaults; the only
 /// fields every implementation must fill are `pred` and `provider`.
-///
-/// `pred` is filled by the *caller* of [`Predictor::last_prediction_info`]
-/// (the trait method is `&self` and some implementations cannot recover
-/// the final direction after the fact); the fused
-/// [`Predictor::predict_train_info`] returns it already filled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictionInfo {
     /// Final predicted direction.
@@ -163,73 +158,25 @@ impl PredictionInfo {
 ///
 /// The driving protocol, per retired branch record:
 ///
-/// 1. For conditional branches: call [`Predictor::predict`], compare with
-///    the resolved direction, then call [`Predictor::train`].
+/// 1. For conditional branches: call [`Predictor::step`] with the
+///    resolved direction. The predictor predicts first, then trains with
+///    the outcome, and reports how the prediction was formed.
 /// 2. For **every** branch (conditional or not): call
 ///    [`Predictor::update_history`] afterwards, so global/path histories
 ///    and context registers advance.
 ///
-/// This mirrors the CBP simulation loop; predictors may stash per-branch
-/// metadata between `predict` and `train` (the calls are always paired
-/// and in order).
+/// This is the CBP simulation loop: a trace-driven simulator knows each
+/// outcome when it asks for the prediction, so lookup and training fuse
+/// into one call and no per-branch state outlives it.
 pub trait Predictor {
-    /// Predicts the direction of the conditional branch at `pc`.
-    fn predict(&mut self, pc: u64) -> bool;
-
-    /// Trains with the resolved direction of the branch last passed to
-    /// [`Predictor::predict`].
-    fn train(&mut self, pc: u64, taken: bool);
+    /// Predicts the conditional branch at `pc`, then trains with its
+    /// resolved direction `taken`. The prediction must not depend on
+    /// `taken`; `info.pred` is the predicted direction and `info.provider`
+    /// the component that supplied it.
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo;
 
     /// Observes a retired branch of any kind, updating histories.
     fn update_history(&mut self, record: &BranchRecord);
-
-    /// Fused [`Predictor::predict`] + [`Predictor::last_provider`] +
-    /// [`Predictor::train`] for callers that resolve the branch
-    /// immediately (trace-driven simulation). Must be observably identical
-    /// to the split sequence; the default simply performs it. Implementors
-    /// may override to skip per-call state that only exists to bridge the
-    /// split (e.g. stashing a lookup between predict and train).
-    fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
-        let pred = self.predict(pc);
-        let provider = self.last_provider();
-        self.train(pc, taken);
-        (pred, provider)
-    }
-
-    /// [`Predictor::update_history`], throughput-oriented: implementors
-    /// may override with a bit-identical but faster history advance (the
-    /// default is the reference path). Simulation backends other than the
-    /// reference tier call this variant.
-    fn update_history_fast(&mut self, record: &BranchRecord) {
-        self.update_history(record);
-    }
-
-    /// The component that provided the most recent prediction.
-    fn last_provider(&self) -> ProviderKind;
-
-    /// Full provenance of the most recent prediction. Valid between
-    /// [`Predictor::predict`] and [`Predictor::train`], like
-    /// [`Predictor::last_provider`]. `pred` is the direction `predict`
-    /// just returned — the default builds a minimal record from it and
-    /// [`Predictor::last_provider`]; implementations with richer
-    /// per-lookup state override, fill every field they track, and may
-    /// ignore the argument (their stashed lookup already knows it).
-    fn last_prediction_info(&self, pred: bool) -> PredictionInfo {
-        PredictionInfo::from_provider(pred, self.last_provider())
-    }
-
-    /// Fused [`Predictor::predict`] + [`Predictor::last_prediction_info`] +
-    /// [`Predictor::train`], the provenance-recording analogue of
-    /// [`Predictor::predict_train`]. Must predict and train observably
-    /// identically to the split sequence. The default performs the split
-    /// sequence; implementors may override to fill the info record from
-    /// the lookup they already computed.
-    fn predict_train_info(&mut self, pc: u64, taken: bool) -> (bool, PredictionInfo) {
-        let pred = self.predict(pc);
-        let info = self.last_prediction_info(pred);
-        self.train(pc, taken);
-        (pred, info)
-    }
 
     /// Human-readable configuration label (e.g. `"64K TSL"`).
     fn label(&self) -> &str;

@@ -184,16 +184,6 @@ impl StatisticalCorrector {
             f.update_before_push(ghr, bit);
         }
     }
-
-    /// [`StatisticalCorrector::update_history`] with branch-free folded
-    /// updates ([`FoldedHistory::update_with_out_bit`]). Same contract,
-    /// bit-identical results.
-    pub fn update_history_fast(&mut self, ghr: &HistoryBuffer, bit: bool) {
-        for f in self.folded.iter_mut().flatten() {
-            let out = ghr.bit(f.original_len() - 1);
-            f.update_with_out_bit(out, bit);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -560,28 +560,11 @@ impl Tage {
     }
 
     /// Advances global, folded and path histories for a retired branch of
-    /// any kind.
+    /// any kind. The index and both tag folds of table `i` share one
+    /// window length (`history_lengths[i]`), so the outgoing GHR bit is
+    /// read once per table and applied branch-free via
+    /// [`FoldedHistory::update_with_out_bit`].
     pub fn update_history(&mut self, record: &BranchRecord) {
-        let bit = Self::history_bit(record);
-        for f in self
-            .folded_index
-            .iter_mut()
-            .chain(self.folded_tag0.iter_mut())
-            .chain(self.folded_tag1.iter_mut())
-        {
-            f.update_before_push(&self.ghr, bit);
-        }
-        self.ghr.push(bit);
-        self.path.push(record.pc() >> 2);
-    }
-
-    /// [`Tage::update_history`] restructured for throughput: the index and
-    /// both tag folds of table `i` share one window length
-    /// (`history_lengths[i]`), so the outgoing GHR bit is read once per
-    /// table and applied branch-free via
-    /// [`FoldedHistory::update_with_out_bit`]. Bit-identical to the
-    /// reference path (pinned by a test below).
-    pub fn update_history_fast(&mut self, record: &BranchRecord) {
         let bit = Self::history_bit(record);
         for i in 0..self.folded_index.len() {
             let out = self.ghr.bit(self.folded_index[i].original_len() - 1);

@@ -58,7 +58,6 @@ pub struct TageScl {
     sc: Option<StatisticalCorrector>,
     loop_pred: Option<LoopPredictor>,
     cfg: TslConfig,
-    pending: Option<TslLookup>,
     predictions: u64,
 }
 
@@ -76,7 +75,7 @@ impl TageScl {
             .sc_enabled
             .then(|| StatisticalCorrector::new(cfg.sc_index_bits, &cfg.sc_history_lengths));
         let loop_pred = cfg.loop_enabled.then(|| LoopPredictor::new(cfg.loop_index_bits));
-        Self { tage, sc, loop_pred, cfg, pending: None, predictions: 0 }
+        Self { tage, sc, loop_pred, cfg, predictions: 0 }
     }
 
     /// The configuration this instance was built from.
@@ -196,21 +195,6 @@ impl TageScl {
         self.tage.update_history(record);
     }
 
-    /// [`TageScl::update_history`] via the branch-free folded-register
-    /// paths ([`Tage::update_history_fast`]). Bit-identical; same SC-first
-    /// ordering (the SC folds against the GHR before the push).
-    pub fn update_history_fast(&mut self, record: &BranchRecord) {
-        if let Some(sc) = &mut self.sc {
-            let bit = if record.kind() == BranchKind::Conditional {
-                record.taken()
-            } else {
-                ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-            };
-            sc.update_history_fast(self.tage.ghr(), bit);
-        }
-        self.tage.update_history_fast(record);
-    }
-
     /// Conditional branch predictions made so far.
     #[must_use]
     pub fn predictions(&self) -> u64 {
@@ -250,60 +234,15 @@ pub struct TslCheckpoint {
 }
 
 impl Predictor for TageScl {
-    fn predict(&mut self, pc: u64) -> bool {
-        let lookup = self.lookup(pc);
-        let pred = lookup.pred;
-        self.pending = Some(lookup);
-        self.predictions += 1;
-        pred
-    }
-
-    fn train(&mut self, pc: u64, taken: bool) {
-        let lookup = self.pending.take().expect("train() without a matching predict()");
-        debug_assert_eq!(lookup.tage.pc, pc, "train() PC does not match predict()");
-        self.commit(&lookup, taken, UpdateMode::Full);
-    }
-
-    fn predict_train(&mut self, pc: u64, taken: bool) -> (bool, ProviderKind) {
-        // Fused lookup+commit: the ~0.5 KiB `TslLookup` never round-trips
-        // through `self.pending` (predict stashes it, train takes it back
-        // out), it lives on this stack frame only. `pending` stays `None`,
-        // which is indistinguishable from the split path after `train()`.
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         let lookup = self.lookup(pc);
         self.predictions += 1;
-        let out = (lookup.pred, lookup.provider);
         self.commit(&lookup, taken, UpdateMode::Full);
-        out
-    }
-
-    fn predict_train_info(&mut self, pc: u64, taken: bool) -> (bool, PredictionInfo) {
-        // Same fusion as `predict_train`: the provenance record is filled
-        // straight from the lookup this frame already computed, so the
-        // recording path adds a few stores, not a second lookup.
-        let lookup = self.lookup(pc);
-        self.predictions += 1;
-        let out = (lookup.pred, lookup.prediction_info());
-        self.commit(&lookup, taken, UpdateMode::Full);
-        out
+        lookup.prediction_info()
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
         TageScl::update_history(self, record);
-    }
-
-    fn update_history_fast(&mut self, record: &BranchRecord) {
-        TageScl::update_history_fast(self, record);
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        self.pending.as_ref().map_or(ProviderKind::Bimodal, |l| l.provider)
-    }
-
-    fn last_prediction_info(&self, pred: bool) -> PredictionInfo {
-        self.pending.as_ref().map_or_else(
-            || PredictionInfo::from_provider(pred, ProviderKind::Bimodal),
-            TslLookup::prediction_info,
-        )
     }
 
     fn label(&self) -> &str {
@@ -348,10 +287,9 @@ mod tests {
         for r in &trace {
             if r.kind() == BranchKind::Conditional {
                 conds += 1;
-                if p.predict(r.pc()) != r.taken() {
+                if p.step(r.pc(), r.taken()).pred != r.taken() {
                     mispredicts += 1;
                 }
-                p.train(r.pc(), r.taken());
             }
             Predictor::update_history(&mut p, r);
         }
@@ -360,43 +298,6 @@ mod tests {
         // ≈0.5, so chance is ≈0.5).
         let rate = mispredicts as f64 / conds as f64;
         assert!(rate < 0.25, "misprediction rate {rate:.3} too high");
-    }
-
-    #[test]
-    fn fast_paths_are_bit_identical_to_reference_paths() {
-        // Drive two clones of the full TAGE-SC-L over the same trace: one
-        // through the split reference sequence, one through the fused
-        // `predict_train` + branch-free `update_history_fast`. Every
-        // prediction, every provider, and the complete speculative history
-        // state must agree at every step — this is the contract that lets
-        // the non-reference simulation backends use the fast paths.
-        let trace = WorkloadSpec::named(Workload::Kafka).with_branches(20_000).generate();
-        let mut slow = TageScl::new(TslConfig::cbp64k());
-        let mut fast = slow.clone();
-        let mut prov = slow.clone();
-        for (i, r) in trace.iter().enumerate() {
-            if r.kind() == BranchKind::Conditional {
-                let pred = slow.predict(r.pc());
-                let provider = Predictor::last_provider(&slow);
-                let info = Predictor::last_prediction_info(&slow, pred);
-                slow.train(r.pc(), r.taken());
-                let (fast_pred, fast_provider) = fast.predict_train(r.pc(), r.taken());
-                assert_eq!(pred, fast_pred, "prediction diverged at record {i}");
-                assert_eq!(provider, fast_provider, "provider diverged at record {i}");
-                let (prov_pred, prov_info) = prov.predict_train_info(r.pc(), r.taken());
-                assert_eq!(pred, prov_pred, "info-path prediction diverged at record {i}");
-                assert_eq!(info, prov_info, "provenance record diverged at record {i}");
-                assert_eq!(info.pred, pred);
-                assert_eq!(info.provider, provider);
-            }
-            Predictor::update_history(&mut slow, r);
-            Predictor::update_history_fast(&mut fast, r);
-            Predictor::update_history_fast(&mut prov, r);
-            assert_eq!(slow.checkpoint(), fast.checkpoint(), "history diverged at record {i}");
-            assert_eq!(slow.checkpoint(), prov.checkpoint(), "info-path history diverged at {i}");
-        }
-        assert_eq!(slow.predictions(), fast.predictions());
-        assert_eq!(slow.predictions(), prov.predictions());
     }
 
     #[test]
@@ -414,19 +315,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "train() without a matching predict()")]
-    fn train_requires_predict() {
-        let mut p = TageScl::new(TslConfig::cbp64k());
-        p.train(0x1000, true);
-    }
-
-    #[test]
     fn provider_is_reported() {
         let mut p = TageScl::new(TslConfig::cbp64k());
-        let _ = p.predict(0x1000);
         // Fresh predictor: bimodal provides.
-        assert_eq!(p.last_provider(), ProviderKind::Bimodal);
-        p.train(0x1000, true);
+        assert_eq!(p.step(0x1000, true).provider, ProviderKind::Bimodal);
+        assert_eq!(p.predictions(), 1);
     }
 
     #[test]

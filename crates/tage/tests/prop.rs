@@ -4,7 +4,7 @@
 
 use bputil::rng::SplitMix64;
 use llbp_tage::tage::UpdateMode;
-use llbp_tage::{Predictor, StorageKind, Tage, TageConfig, TageScl, TslConfig};
+use llbp_tage::{Predictor, ProviderKind, StorageKind, Tage, TageConfig, TageScl, TslConfig};
 use llbp_trace::{BranchKind, BranchRecord};
 
 fn small_tage_config(storage: StorageKind) -> TageConfig {
@@ -62,8 +62,8 @@ fn cancelled_updates_never_allocate() {
     }
 }
 
-/// The full TSL predictor's predict/train protocol never panics and
-/// its provider attribution is always valid.
+/// The full TSL predictor's step/update protocol never panics and its
+/// provider attribution is always valid.
 #[test]
 fn tsl_protocol_is_robust() {
     let mut rng = SplitMix64::new(0x751);
@@ -76,9 +76,8 @@ fn tsl_protocol_is_robust() {
             let taken = rng.chance(1, 2);
             let kind = BranchKind::from_u8(rng.below(6) as u8).expect("in range");
             if kind == BranchKind::Conditional {
-                let _ = p.predict(pc);
-                let _ = p.last_provider();
-                p.train(pc, taken);
+                let info = p.step(pc, taken);
+                assert!(info.provider.ordinal() < ProviderKind::COUNT);
                 p.update_history(&BranchRecord::conditional(pc, pc + 8, taken, 1));
             } else {
                 p.update_history(&BranchRecord::unconditional(pc, pc ^ 0x40, kind, 1));

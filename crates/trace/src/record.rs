@@ -210,7 +210,7 @@ impl BranchRecord {
     /// The packed metadata word: bits 0..3 hold the [`BranchKind`]
     /// encoding, bit 3 the direction, bits 4..32 the non-branch
     /// instruction count. This is the word [`TraceSoa`] stores per record,
-    /// so batch simulation loops can decode kind/direction/instructions
+    /// so the simulation loop can decode kind/direction/instructions
     /// from one dense `u32` stream.
     #[inline]
     #[must_use]
@@ -221,7 +221,7 @@ impl BranchRecord {
 
 /// A structure-of-arrays view of a trace: parallel `pc` / `meta` columns.
 ///
-/// The batch simulation backend streams every record once per grid cell,
+/// The simulation loop streams every record once per grid cell,
 /// touching only the branch address and the packed metadata word in its
 /// hot decode (the `target` halves matter only for the unconditional
 /// subset that reaches `update_history`). Splitting those two columns out

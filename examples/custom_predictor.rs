@@ -13,7 +13,7 @@
 use llbp_repro::bputil::counter::SatCounter;
 use llbp_repro::bputil::history::HistoryBuffer;
 use llbp_repro::prelude::*;
-use llbp_repro::tage::{Predictor, ProviderKind};
+use llbp_repro::tage::{PredictionInfo, Predictor, ProviderKind};
 use llbp_repro::trace::{BranchKind, BranchRecord};
 
 /// A classic gshare predictor: PC XOR global history indexes one table of
@@ -42,23 +42,17 @@ impl Gshare {
 }
 
 impl Predictor for Gshare {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].taken()
-    }
-
-    fn train(&mut self, pc: u64, taken: bool) {
+    fn step(&mut self, pc: u64, taken: bool) -> PredictionInfo {
         let i = self.index(pc);
+        let pred = self.table[i].taken();
         self.table[i].update(taken);
+        PredictionInfo::from_provider(pred, ProviderKind::Bimodal)
     }
 
     fn update_history(&mut self, record: &BranchRecord) {
         if record.kind() == BranchKind::Conditional {
             self.ghr.push(record.taken());
         }
-    }
-
-    fn last_provider(&self) -> ProviderKind {
-        ProviderKind::Bimodal
     }
 
     fn label(&self) -> &str {

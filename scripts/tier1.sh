@@ -13,6 +13,13 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace --offline --quiet
 
+echo "== benchmark package tests =="
+# perfbench is a separate workspace built on the crates' public API. Its
+# tests pin the quick Fig. 2 / Fig. 9 figures and every default-seed grid
+# cell's counts, so an API change that breaks the benchmark, or a drift in
+# those counts, fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -154,41 +161,13 @@ cmp -s "$TEL_DIR/observed-cold.out" "$TEL_DIR/plain-cold.out" || {
     exit 1
 }
 
-echo "== backend parity smoke =="
-# The same quick figure cell run under every execution backend must print
-# the byte-identical figure (stdout only — stderr carries wall times).
-# Separate cold cache dirs per backend keep the memo store from serving
-# one backend's cells to another, so each tier actually simulates.
-BACKEND_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR"' EXIT
-LLBP_CACHE_DIR="$BACKEND_DIR/reference" ./target/release/fig02_mpki_limits --quick --strict \
-    --backend reference > "$BACKEND_DIR/reference.out" 2> /dev/null
-for backend in specialized batch auto; do
-    LLBP_CACHE_DIR="$BACKEND_DIR/$backend" ./target/release/fig02_mpki_limits --quick --strict \
-        --backend "$backend" > "$BACKEND_DIR/$backend.out" 2> /dev/null
-    cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/$backend.out" || {
-        echo "backend smoke: backend '$backend' changed the figure output:"
-        diff "$BACKEND_DIR/reference.out" "$BACKEND_DIR/$backend.out" || true
-        exit 1
-    }
-done
-# The env-var selector must work too (flag wins over env elsewhere; here
-# the env alone drives the choice).
-LLBP_CACHE_DIR="$BACKEND_DIR/env" LLBP_BACKEND=batch ./target/release/fig02_mpki_limits \
-    --quick --strict > "$BACKEND_DIR/env.out" 2> /dev/null
-cmp -s "$BACKEND_DIR/reference.out" "$BACKEND_DIR/env.out" || {
-    echo "backend smoke: LLBP_BACKEND=batch changed the figure output:"
-    diff "$BACKEND_DIR/reference.out" "$BACKEND_DIR/env.out" || true
-    exit 1
-}
-
 echo "== distributed chaos smoke =="
 # A 2-worker distributed campaign against a shared llbp_store — with one
 # injected network disconnect AND one worker killed mid-claim — must
 # recover via lease takeover and print stdout byte-identical to a plain
 # single-process run of the same grid.
 DIST_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR"' EXIT
 LLBP_CACHE_DIR="$DIST_DIR/serial" ./target/release/fig02_mpki_limits --quick \
     --workloads HTTP,Kafka,Tomcat > "$DIST_DIR/serial.out" 2> /dev/null
 ./target/release/llbp_store --root "$DIST_DIR/shared" --print-addr \
@@ -242,7 +221,7 @@ echo "== merge-crash durability smoke =="
 # no (or an old) merged journal, never a torn one, and a fault-free
 # rerun must complete the campaign byte-identically.
 CRASH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR"' EXIT
 set +e
 LLBP_CACHE_DIR="$CRASH_DIR" LLBP_FAULT_SPEC="crash:merge" \
     ./target/release/llbp_coord --workers 2 --quick --workloads HTTP,Kafka \
@@ -275,7 +254,7 @@ echo "== serve daemon smoke =="
 # injected client-side disconnect — must print stdout byte-identical to
 # a local run, expose live Prometheus metrics, and shut down cleanly.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
 LLBP_CACHE_DIR="$SERVE_DIR/local" ./target/release/fig02_mpki_limits --quick \
     > "$SERVE_DIR/local.out" 2> /dev/null
 ./target/release/llbp_serve --root "$SERVE_DIR/shared" --print-addr \
@@ -327,7 +306,7 @@ echo "== provenance smoke =="
 # mispredicting branches on every invocation, and the recorder costs
 # <3% wall time (min of 3 cold runs per configuration).
 PROV_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$BACKEND_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
 for i in 1 2 3; do
     LLBP_CACHE_DIR="$PROV_DIR/off$i" ./target/release/fig02_mpki_limits --quick --strict \
         > "$PROV_DIR/off$i.out" 2> "$PROV_DIR/off$i.err"

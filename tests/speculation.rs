@@ -15,14 +15,13 @@ fn trace(n: usize) -> Trace {
     WorkloadSpec::named(Workload::Kafka).with_branches(n).generate()
 }
 
-/// Drives `p` over `records` the normal way (predict/train on
-/// conditionals, history on everything), returning predictions.
+/// Drives `p` over `records` the normal way (step on conditionals,
+/// history on everything), returning predictions.
 fn drive(p: &mut dyn Predictor, records: &[BranchRecord]) -> Vec<bool> {
     let mut preds = Vec::new();
     for r in records {
         if r.kind() == BranchKind::Conditional {
-            preds.push(p.predict(r.pc()));
-            p.train(r.pc(), r.taken());
+            preds.push(p.step(r.pc(), r.taken()).pred);
         }
         p.update_history(r);
     }
