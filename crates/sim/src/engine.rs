@@ -633,9 +633,9 @@ impl SweepEngine {
     /// Attaches a telemetry handle. Each job then records five stage
     /// spans — `queue_wait`, `memo_probe`, `generation`, `simulation`,
     /// `write_back` — plus marks for `retry`, `watchdog_kill`,
-    /// `lock_takeover` and `stale_demotion`, and the hot simulation loop
-    /// feeds a sampled `sim_records_total` counter. The default disabled
-    /// handle costs nothing (see `llbp_obs`).
+    /// `lock_takeover` and `stale_demotion`, and the simulation loop
+    /// feeds a `sim_records_total` counter once per block. The default
+    /// disabled handle costs nothing (see `llbp_obs`).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
