@@ -450,7 +450,10 @@ impl SweepReport {
     #[must_use]
     pub fn cell_walls(&self) -> Vec<Duration> {
         let failed: HashSet<usize> = self.failed.iter().map(|e| e.index).collect();
-        let mut walls: Vec<Duration> = (self.jobs.iter().enumerate())
+        let mut walls: Vec<Duration> = self
+            .jobs
+            .iter()
+            .enumerate()
             .filter(|(index, _)| !failed.contains(index))
             .map(|(_, record)| record.stats.wall)
             .collect();
