@@ -4,9 +4,8 @@
 //! Paper values: 64K TSL 0.29–6.4 MPKI (avg 2.91); Inf TAGE reduces
 //! mispredictions by 14–54% (avg 31.9%); Inf TSL by 36.5% on average.
 //!
-//! The table rendering lives in [`llbp_bench::figures`] and is shared
-//! with `llbp-coord`, whose distributed runs must reproduce this
-//! binary's stdout byte-for-byte.
+//! The grid and the table rendering live in [`llbp_bench::figures`], so
+//! `llbp_client submit` sends the daemon exactly this binary's grid.
 
 use llbp_bench::figures::{fig02_render, fig02_spec};
 use llbp_bench::{emit, engine, Opts};
@@ -15,6 +14,6 @@ fn main() {
     let opts = Opts::from_args();
     let spec = fig02_spec(&opts);
     let report = llbp_bench::run_sweep(&engine(&opts), &spec);
-    print!("{}", fig02_render(|w, p| report.get(w, p), &opts));
+    print!("{}", fig02_render(&report, &opts));
     emit(&report, "fig02", &opts);
 }

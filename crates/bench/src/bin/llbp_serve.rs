@@ -1,9 +1,10 @@
 //! `llbp-serve` — the resident campaign daemon (DESIGN.md §12).
 //!
-//! Accepts sweep submissions over the length-prefixed TCP protocol,
-//! runs them in-process on the `llbp-coord` shard machinery, dedups
-//! cells across concurrent campaigns, and streams results back as they
-//! publish. Any experiment binary routes through it with
+//! The repo's multi-worker campaign runner. Accepts sweep submissions
+//! over the length-prefixed TCP protocol, runs each on a pool of worker
+//! threads that claim cells through fingerprint-keyed lease files (so
+//! concurrent campaigns compute a shared cell once), and streams results
+//! back as they publish. Any experiment binary routes through it with
 //! `--server tcp://host:port` and prints byte-identical output to a
 //! local run; `llbp_client` speaks the protocol directly (submit, poll,
 //! metrics scrape, shutdown).
@@ -20,8 +21,10 @@
 //! campaigns resume from their journals and published cells.
 //!
 //! Knobs: `LLBP_SERVE_WORKERS` (threads per campaign),
-//! `LLBP_SERVE_MAX_PASSES` (reconcile budget), `LLBP_FAULT_SPEC`
-//! (fault injection, including `crash:merge` and the `net:*` family).
+//! `LLBP_SERVE_MAX_PASSES` (reconcile budget), `LLBP_LEASE_TTL_MS`
+//! (cell-lease TTL), `LLBP_FAULT_SPEC` (fault injection, including
+//! `crash:claim`, which aborts the daemon right after a cell-lease
+//! claim, and `lease:expire`).
 
 use llbp_bench::fault_injector;
 use llbp_sim::memo::{CACHE_DIR_ENV, DEFAULT_CACHE_DIR};

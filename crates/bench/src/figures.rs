@@ -1,16 +1,11 @@
-//! Figure definitions shared between the single-process experiment
-//! binaries and the distributed coordinator.
-//!
-//! The chaos-parity contract — a distributed campaign's merged report is
-//! byte-identical to the single-process figure — is enforced by
-//! construction: `fig02_mpki_limits` and `llbp-coord` call the same
-//! [`fig02_render`] over the same grid, differing only in where the
-//! cell results came from.
+//! Figure definitions shared between experiment binaries: Figure 2's grid
+//! (also what `llbp_client submit` sends to the daemon) and its
+//! renderer, and Table I's renderer.
 
 use crate::{mean_reduction, workload_specs, Opts};
 use llbp_sim::engine::SweepSpec;
 use llbp_sim::report::{f1, f2, Table};
-use llbp_sim::{PredictorKind, SimConfig, SimResult};
+use llbp_sim::{PredictorKind, SimConfig, SweepReport};
 
 /// Figure 2's predictor axis, in column order.
 #[must_use]
@@ -25,13 +20,10 @@ pub fn fig02_spec(opts: &Opts) -> SweepSpec {
 }
 
 /// Renders Figure 2's full stdout — header, paper-values line, and the
-/// MPKI/reduction table — from a cell accessor `get(workload, predictor)`
-/// over the fig02 grid. Returns the exact bytes the binary prints.
+/// MPKI/reduction table — from a report over the fig02 grid, local or
+/// served. Returns the exact bytes the binary prints.
 #[must_use]
-pub fn fig02_render<'a, F>(get: F, opts: &Opts) -> String
-where
-    F: Fn(usize, usize) -> &'a SimResult,
-{
+pub fn fig02_render(report: &SweepReport, opts: &Opts) -> String {
     let mut table = Table::new([
         "workload",
         "64K TSL MPKI",
@@ -44,7 +36,7 @@ where
     let mut tage_reds = Vec::new();
     let mut tsl_reds = Vec::new();
     for (i, w) in opts.workloads.iter().enumerate() {
-        let (base, inf_tage, inf_tsl) = (get(i, 0), get(i, 1), get(i, 2));
+        let (base, inf_tage, inf_tsl) = (report.get(i, 0), report.get(i, 1), report.get(i, 2));
         let red_tage = inf_tage.mpki_reduction_vs(base);
         let red_tsl = inf_tsl.mpki_reduction_vs(base);
         base_mpkis.push(base.mpki());

@@ -21,8 +21,9 @@
 //! re-run of any figure — or a figure sharing grid cells with a previous
 //! one — skips generation and simulation for everything already stored.
 //! `LLBP_STORE=tcp://host:port` points the memo store at a shared
-//! `llbp_store` server instead of the local directory; `llbp_coord`
-//! shards a campaign across worker processes against it (DESIGN.md §11).
+//! `llbp_store` server instead of the local directory (DESIGN.md §11);
+//! `--server tcp://host:port` runs the sweep on an `llbp_serve` daemon,
+//! the multi-worker runner, instead of in-process (§12).
 
 pub mod figures;
 

@@ -49,8 +49,8 @@ fn fig02_bytes_are_identical_with_prov_recording() {
     let opts = quick_opts();
     let spec = fig02_spec(&opts);
     let (plain, recorded) = assert_prov_parity(&spec, "fig02");
-    let off = fig02_render(|w, p| plain.get(w, p), &opts);
-    let on = fig02_render(|w, p| recorded.get(w, p), &opts);
+    let off = fig02_render(&plain, &opts);
+    let on = fig02_render(&recorded, &opts);
     assert_eq!(off, on, "figure bytes must not depend on the recorder");
     assert!(recorded.prov.is_some());
     assert!(plain.prov.is_none());

@@ -254,7 +254,7 @@ impl SweepSpec {
     /// The grid in job order: workload-major, so that the jobs sharing a
     /// trace are adjacent in the queue and the cache holds few traces at
     /// a time.
-    fn job(&self, index: usize) -> SweepJob {
+    pub(crate) fn job(&self, index: usize) -> SweepJob {
         SweepJob {
             workload: index / self.predictors.len(),
             predictor: index % self.predictors.len(),
@@ -812,18 +812,8 @@ impl SweepEngine {
         }
         let started = Instant::now();
         let n = spec.num_jobs();
-        let fingerprints: Vec<_> = self.store.as_ref().map_or_else(Vec::new, |store| {
-            (0..n)
-                .map(|i| {
-                    let job = spec.job(i);
-                    store.result_fingerprint(
-                        &spec.predictors[job.predictor],
-                        &spec.workloads[job.workload],
-                        &spec.sim,
-                    )
-                })
-                .collect()
-        });
+        let fingerprints =
+            self.store.as_ref().map_or_else(Vec::new, |store| grid_fingerprints(spec, store));
         let journal = self.open_journal(&fingerprints)?;
         // On resume, cells the journal marks completed (and whose result
         // is still memoized under the recorded fingerprint) are trusted;
@@ -969,7 +959,7 @@ impl SweepEngine {
             store.root(),
             campaign_fingerprint(fingerprints),
             self.resume,
-            crate::lock::lock_wait_from_env()?,
+            crate::journal::lock_wait_from_env()?,
             &self.telemetry,
         ) {
             Ok(journal) => Ok(Some(journal)),
@@ -1136,7 +1126,7 @@ impl SweepEngine {
                 let _ = store.store_prov(fp, &stream);
             }
             let _span = self.telemetry.span("write_back").with_cell(index as i64);
-            self.write_back(store, fp, &result, wall, trace.len() as u64)
+            write_back(store, fp, &result, wall, trace.len() as u64, self.max_retries)
         } else {
             None
         };
@@ -1144,32 +1134,6 @@ impl SweepEngine {
             JobRecord { job, result, stats: JobStats { wall, branches: trace.len() as u64 } },
             digest,
         ))
-    }
-
-    /// Persists a freshly simulated cell with its own bounded retry,
-    /// returning the published cell's content digest on success.
-    /// Ultimately best-effort: the in-memory result stands even if the
-    /// store never accepts the write (the journal then records the cell
-    /// without a digest, and verify-resume will re-run it).
-    fn write_back(
-        &self,
-        store: &MemoStore,
-        fp: Fingerprint,
-        result: &SimResult,
-        wall: Duration,
-        trace_len: u64,
-    ) -> Option<Fingerprint> {
-        let mut attempt = 0u32;
-        loop {
-            match store.store_result(fp, result, wall, trace_len) {
-                Ok(digest) => return Some(digest),
-                Err(_) if attempt < self.max_retries => {
-                    std::thread::sleep(backoff_delay(attempt));
-                    attempt += 1;
-                }
-                Err(_) => return None,
-            }
-        }
     }
 
     /// Aggregates the campaign's provenance streams from disk into a
@@ -1257,6 +1221,49 @@ impl SweepEngine {
             .collect();
         keyed.sort_unstable();
         keyed.into_iter().map(|(_, i)| i).collect()
+    }
+}
+
+/// Cell fingerprints in grid order (workload-major, matching
+/// [`SweepSpec`]'s job numbering): the memo keys of the grid's cells,
+/// and, folded, the campaign identity that names its journal.
+#[must_use]
+pub fn grid_fingerprints(spec: &SweepSpec, store: &MemoStore) -> Vec<Fingerprint> {
+    (0..spec.num_jobs())
+        .map(|index| {
+            let job = spec.job(index);
+            store.result_fingerprint(
+                &spec.predictors[job.predictor],
+                &spec.workloads[job.workload],
+                &spec.sim,
+            )
+        })
+        .collect()
+}
+
+/// Persists a freshly simulated cell with bounded retry, returning the
+/// published cell's content digest on success. Ultimately best-effort:
+/// the in-memory result stands even if the store never accepts the
+/// write (the journal then records the cell without a digest, and
+/// verify-resume will re-run it).
+pub(crate) fn write_back(
+    store: &MemoStore,
+    fp: Fingerprint,
+    result: &SimResult,
+    wall: Duration,
+    trace_len: u64,
+    max_retries: u32,
+) -> Option<Fingerprint> {
+    let mut attempt = 0u32;
+    loop {
+        match store.store_result(fp, result, wall, trace_len) {
+            Ok(digest) => return Some(digest),
+            Err(_) if attempt < max_retries => {
+                std::thread::sleep(backoff_delay(attempt));
+                attempt += 1;
+            }
+            Err(_) => return None,
+        }
     }
 }
 

@@ -27,10 +27,8 @@
 //! net:torn-write            send a truncated request frame, then sever
 //! net:disconnect:count=2    close the connection before the next 2 requests
 //! lease:expire              force the next lease-validity check to report expiry
-//! crash:merge               abort the process between the merged journal's
-//!                           temp-file fsync and its rename — the durability
-//!                           window the write-temp/fsync/rename/dir-fsync
-//!                           recipe protects
+//! crash:claim               abort the sweep daemon right after it claims a
+//!                           cell lease, while the lease is held
 //! ```
 //!
 //! The `LLBP_FAULT_SPEC` environment variable carries the spec into the
@@ -80,20 +78,6 @@ pub enum NetFaultKind {
     /// Close the connection before the request is sent
     /// (`net:disconnect`); the next request must reconnect.
     Disconnect,
-}
-
-/// Process-abort points a `crash:*` rule can target.
-///
-/// Unlike the other families (which inject recoverable errors), a crash
-/// rule kills the process outright at a chosen durability window, so
-/// subprocess tests can pin what a machine loss at that exact moment
-/// leaves on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashSite {
-    /// Between the merged campaign journal's temp-file fsync and its
-    /// rename into place (`crash:merge`): recovery must find the old
-    /// journal or none, never a torn one.
-    MergePublish,
 }
 
 /// Where a `slow` rule injects its sleep.
@@ -168,14 +152,13 @@ pub enum FaultRule {
         /// Number of checks that report expiry.
         count: u32,
     },
-    /// Abort the process at the given durability window for the first
-    /// `count` times it is reached.
+    /// Abort the process right after its first `count` cell-lease
+    /// claims, while the lease is held — a machine loss mid-cell, so
+    /// subprocess tests can pin what a restart recovers.
     Crash {
-        /// Which abort point fires.
-        site: CrashSite,
-        /// Number of reaches that abort (a restarted process re-reads
-        /// the spec, so `count` only bounds aborts *per process*;
-        /// subprocess tests clear the spec on rerun instead).
+        /// Number of claims that abort (a restarted process re-reads the
+        /// spec, so `count` only bounds aborts *per process*; tests
+        /// restart without the spec instead).
         count: u32,
     },
 }
@@ -350,16 +333,16 @@ impl FaultInjector {
         expired
     }
 
-    /// Whether a `crash` rule fires at `site` (each matching rule fires
-    /// for its first `count` reaches). The caller then aborts the
+    /// Whether a `crash` rule fires at this cell-lease claim (each rule
+    /// fires for its first `count` claims). The caller then aborts the
     /// process — the check is separated from the abort so it stays
     /// testable in-process.
     #[must_use]
-    pub fn check_crash(&self, site: CrashSite) -> bool {
+    pub fn check_crash(&self) -> bool {
         let mut fire = false;
         for (i, rule) in self.rules.iter().enumerate() {
-            if let FaultRule::Crash { site: s, count } = *rule {
-                if s == site && self.fired[i].fetch_add(1, Ordering::Relaxed) < count {
+            if let FaultRule::Crash { count } = *rule {
+                if self.fired[i].fetch_add(1, Ordering::Relaxed) < count {
                     fire = true;
                 }
             }
@@ -397,18 +380,16 @@ pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
 
 fn parse_rule(rule: &str) -> Result<FaultRule, String> {
     // `lock` needs no arguments, so a bare kind (no `:`) is accepted and
-    // validated per kind like any other rule. The `net`/`lease` families
-    // spend a second `:`-segment on their sub-kind (`net:drop:count=2`),
+    // validated per kind like any other rule. The `net`/`lease`/`crash`
+    // families spend a second `:`-segment on their sub-kind (`net:drop:count=2`),
     // so for those the key=value arguments start after the sub-kind.
     let (mut kind, mut args) = rule.split_once(':').unwrap_or((rule, ""));
     let mut net_kind = None;
-    let mut crash_site = None;
     if kind.trim() == "crash" {
         let (sub, rest) = args.split_once(':').unwrap_or((args, ""));
-        crash_site = Some(match sub.trim() {
-            "merge" => CrashSite::MergePublish,
-            other => return Err(format!("unknown crash site `{other}` (expected merge)")),
-        });
+        if sub.trim() != "claim" {
+            return Err(format!("unknown crash site `{}` (expected claim)", sub.trim()));
+        }
         kind = "crash";
         args = rest;
     } else if kind.trim() == "net" {
@@ -488,10 +469,7 @@ fn parse_rule(rule: &str) -> Result<FaultRule, String> {
             count: count.unwrap_or(1),
         }),
         "lease" => Ok(FaultRule::LeaseExpire { count: count.unwrap_or(1) }),
-        "crash" => Ok(FaultRule::Crash {
-            site: crash_site.expect("crash rules parse their site above"),
-            count: count.unwrap_or(1),
-        }),
+        "crash" => Ok(FaultRule::Crash { count: count.unwrap_or(1) }),
         other => Err(format!(
             "unknown fault kind `{other}` (expected panic/io/slow/lock/stale/net/lease/crash)"
         )),
@@ -579,16 +557,16 @@ mod tests {
 
     #[test]
     fn parses_the_crash_family_and_counts_fires() {
-        let inj = FaultInjector::parse("crash:merge").expect("spec parses");
-        assert_eq!(inj.rules(), &[FaultRule::Crash { site: CrashSite::MergePublish, count: 1 }]);
-        assert!(inj.check_crash(CrashSite::MergePublish), "first reach fires");
-        assert!(!inj.check_crash(CrashSite::MergePublish), "count exhausted");
-        let counted = FaultInjector::parse("crash:merge:count=2").expect("counted parses");
-        assert!(counted.check_crash(CrashSite::MergePublish));
-        assert!(counted.check_crash(CrashSite::MergePublish));
-        assert!(!counted.check_crash(CrashSite::MergePublish));
+        let inj = FaultInjector::parse("crash:claim").expect("spec parses");
+        assert_eq!(inj.rules(), &[FaultRule::Crash { count: 1 }]);
+        assert!(inj.check_crash(), "first claim fires");
+        assert!(!inj.check_crash(), "count exhausted");
+        let counted = FaultInjector::parse("crash:claim:count=2").expect("counted parses");
+        assert!(counted.check_crash());
+        assert!(counted.check_crash());
+        assert!(!counted.check_crash());
         let quiet = FaultInjector::parse("net:drop").expect("parse");
-        assert!(!quiet.check_crash(CrashSite::MergePublish), "net rules never crash merges");
+        assert!(!quiet.check_crash(), "net rules never crash claims");
     }
 
     #[test]

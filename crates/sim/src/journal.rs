@@ -20,12 +20,14 @@
 //!
 //! Two concurrent campaigns over the *same* grid would share one journal
 //! file, and interleaved appends (or a fresh campaign truncating under a
-//! running one) corrupt it. [`CampaignJournal::open`] therefore acquires
-//! an exclusive advisory [`LockFile`] (`<journal>.lock`, atomic-create
-//! with PID stamping and dead-holder takeover — see [`crate::lock`])
-//! held for the journal's lifetime. A second campaign waits briefly for
-//! the holder to finish, then fails fast with
-//! [`SimError::CacheContention`] before touching a single cell.
+//! running one) corrupt it. [`CampaignJournal::open`] therefore claims a
+//! [`Lease`] on `<journal>.lock` (see [`crate::lease`]) held for the
+//! journal's lifetime. Its TTL is [`Duration::MAX`], so the deadline
+//! saturates and only a dead or torn holder loses it. A second campaign
+//! waits briefly for the holder to finish, then fails fast with
+//! [`SimError::CacheContention`] before touching a single cell. Within
+//! one process the journal is shared, not re-opened: the sweep daemon's
+//! worker threads all append to their campaign's one journal.
 //!
 //! # Durability
 //!
@@ -56,7 +58,7 @@
 //! appends `stale` after the original `ok`.
 
 use crate::error::SimError;
-use crate::lock::{lock_wait_from_env, LockFile};
+use crate::lease::Lease;
 use llbp_trace::fingerprint::{Fingerprint, StableHasher};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -64,6 +66,27 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// Environment variable overriding how long a campaign waits for a held
+/// journal before failing with `CacheContention` (milliseconds).
+pub const LOCK_WAIT_ENV: &str = "LLBP_LOCK_WAIT_MS";
+
+/// Default wait budget before a held journal turns into contention. Long
+/// enough that back-to-back campaigns on a fast grid serialize instead of
+/// failing; short enough that a genuinely concurrent duplicate campaign
+/// fails fast rather than stalling for the whole sweep.
+pub const DEFAULT_LOCK_WAIT: Duration = Duration::from_millis(200);
+
+/// The configured wait budget: [`LOCK_WAIT_ENV`] if set, else
+/// [`DEFAULT_LOCK_WAIT`].
+///
+/// # Errors
+///
+/// [`SimError::Config`] when the variable is set but unparsable.
+pub fn lock_wait_from_env() -> Result<Duration, SimError> {
+    Ok(crate::envknob::parse_env::<u64>(LOCK_WAIT_ENV)?
+        .map_or(DEFAULT_LOCK_WAIT, Duration::from_millis))
+}
 
 /// How a journaled cell ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,13 +126,8 @@ pub fn campaign_fingerprint(cells: &[Fingerprint]) -> Fingerprint {
     h.finish()
 }
 
-/// Renders the journal line for one cell outcome (without the trailing
-/// newline handling — the returned string ends in `\n`). Shared by the
-/// locked [`CampaignJournal`] and the per-worker shard journals of
-/// distributed campaigns (see [`crate::coord`]), so every journal on
-/// disk speaks one grammar.
-#[must_use]
-pub fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
+/// Renders the journal line for one cell outcome (ending in `\n`).
+fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
     match outcome {
         CellOutcome::Ok { fingerprint, digest: Some(digest) } => {
             format!("ok {cell} {fingerprint} {digest}\n")
@@ -120,8 +138,7 @@ pub fn outcome_line(cell: usize, outcome: &CellOutcome) -> String {
     }
 }
 
-/// Parses any journal file (locked campaign journal or per-worker shard
-/// journal) into per-cell outcomes without taking the campaign lock:
+/// Parses a journal file into per-cell outcomes without claiming it:
 /// later lines win, malformed or torn lines are ignored, and a missing
 /// file reads as empty. Read-only — safe on a journal another process is
 /// appending to, because entries are single-write lines.
@@ -139,61 +156,19 @@ pub fn read_outcomes(path: &Path) -> HashMap<usize, CellOutcome> {
     outcomes
 }
 
-/// Precedence key for resolving the same cell reported by different
-/// shards: `Ok` beats `Stale` beats `Failed` (a cell one worker
-/// completed is complete no matter what another worker observed), and
-/// ties break on the rendered entry text, so the merge is a total order
-/// — commutative and associative, hence shard-order-insensitive.
-fn outcome_key(cell: usize, outcome: &CellOutcome) -> (u8, String) {
-    let rank = match outcome {
-        CellOutcome::Ok { .. } => 2,
-        CellOutcome::Stale { .. } => 1,
-        CellOutcome::Failed { .. } => 0,
-    };
-    (rank, outcome_line(cell, outcome))
-}
-
-/// Merges per-shard outcome maps into one campaign view. For each cell
-/// the winning outcome is the maximum under [`outcome_key`]'s total
-/// order, so merging N shard journals gives the same result in any
-/// order — the property tests pin this, and it is what makes a
-/// distributed campaign's merged journal deterministic.
-#[must_use]
-pub fn merge_outcomes<I>(shards: I) -> HashMap<usize, CellOutcome>
-where
-    I: IntoIterator<Item = HashMap<usize, CellOutcome>>,
-{
-    let mut merged: HashMap<usize, CellOutcome> = HashMap::new();
-    for shard in shards {
-        for (cell, outcome) in shard {
-            match merged.entry(cell) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(outcome);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if outcome_key(cell, &outcome) > outcome_key(cell, slot.get()) {
-                        slot.insert(outcome);
-                    }
-                }
-            }
-        }
-    }
-    merged
-}
-
-/// An open, append-only campaign journal holding its exclusive lock.
+/// An open, append-only campaign journal holding its lease.
 #[derive(Debug)]
 pub struct CampaignJournal {
     path: PathBuf,
     file: Mutex<File>,
-    /// Held for the journal's lifetime; unlinked on drop.
-    lock: LockFile,
+    /// Held for the journal's lifetime; released on drop.
+    lease: Lease,
 }
 
 impl CampaignJournal {
-    /// Opens the journal for a campaign under `root`, acquiring the
-    /// campaign's exclusive lock (waiting up to `LLBP_LOCK_WAIT_MS`,
-    /// default 200 ms, for a live holder).
+    /// Opens the journal for a campaign under `root`, claiming its lease
+    /// (waiting up to `LLBP_LOCK_WAIT_MS`, default 200 ms, for a live
+    /// holder).
     ///
     /// With `resume` set, existing entries are kept (and returned via
     /// [`CampaignJournal::load`]); otherwise the journal is truncated —
@@ -202,13 +177,13 @@ impl CampaignJournal {
     /// # Errors
     ///
     /// [`SimError::CacheContention`] when another live campaign holds the
-    /// lock past the wait budget; [`SimError::MemoIo`] when the journal
-    /// file cannot be opened.
+    /// journal past the wait budget; [`SimError::MemoIo`] when the
+    /// journal file cannot be opened.
     pub fn open(root: &Path, campaign: Fingerprint, resume: bool) -> Result<Self, SimError> {
         Self::open_with_wait(root, campaign, resume, lock_wait_from_env()?)
     }
 
-    /// [`CampaignJournal::open`] with an explicit lock-wait budget
+    /// [`CampaignJournal::open`] with an explicit wait budget
     /// (tests use tiny budgets to exercise contention deterministically).
     ///
     /// # Errors
@@ -223,9 +198,9 @@ impl CampaignJournal {
         Self::open_observed(root, campaign, resume, lock_wait, &llbp_obs::Telemetry::disabled())
     }
 
-    /// [`CampaignJournal::open_with_wait`] with telemetry: lock waits and
+    /// [`CampaignJournal::open_with_wait`] with telemetry: waits and
     /// dead-holder takeovers are recorded as `lock_wait` spans and
-    /// `lock_takeover` marks (see [`LockFile::acquire_observed`]).
+    /// `lock_takeover` marks (see [`Lease::acquire`]).
     ///
     /// # Errors
     ///
@@ -241,11 +216,15 @@ impl CampaignJournal {
             |e: std::io::Error| SimError::MemoIo { op: "open_journal", detail: e.to_string() };
         std::fs::create_dir_all(root).map_err(io_err)?;
         let path = root.join(format!("{campaign}.journal"));
-        // Lock BEFORE opening/truncating: a fresh campaign truncating a
+        // Claim BEFORE opening/truncating: a fresh campaign truncating a
         // journal a live campaign is appending to is exactly the race the
-        // lock exists to exclude.
-        let lock =
-            LockFile::acquire_observed(path.with_extension("journal.lock"), lock_wait, telemetry)?;
+        // lease exists to exclude.
+        let lease = Lease::acquire(
+            &path.with_extension("journal.lock"),
+            Duration::MAX,
+            lock_wait,
+            telemetry,
+        )?;
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -262,7 +241,7 @@ impl CampaignJournal {
         } else {
             file.set_len(0).map_err(io_err)?;
         }
-        Ok(Self { path, file: Mutex::new(file), lock })
+        Ok(Self { path, file: Mutex::new(file), lease })
     }
 
     /// The journal's path on disk.
@@ -271,11 +250,11 @@ impl CampaignJournal {
         &self.path
     }
 
-    /// How long acquiring the campaign lock blocked, and how many
+    /// How long claiming the journal's lease blocked, and how many
     /// dead-holder takeovers it performed (both usually zero).
     #[must_use]
     pub fn lock_stats(&self) -> (Duration, u64) {
-        (self.lock.wait_duration(), self.lock.takeovers())
+        (self.lease.wait_duration(), self.lease.takeovers())
     }
 
     /// Parses the journal into per-cell outcomes. Later lines win (a
@@ -285,6 +264,11 @@ impl CampaignJournal {
     #[must_use]
     pub fn load(&self) -> HashMap<usize, CellOutcome> {
         read_outcomes(&self.path)
+    }
+
+    /// Appends any outcome entry for `cell` (best-effort).
+    pub fn record(&self, cell: usize, outcome: &CellOutcome) {
+        self.append(&outcome_line(cell, outcome));
     }
 
     /// Appends a completion entry for `cell` (best-effort: journal IO

@@ -1,63 +1,74 @@
-//! Lease-based work claims for distributed campaigns.
+//! Leases: the one file-claim primitive behind every exactly-once
+//! guarantee (DESIGN.md §11).
 //!
-//! A multi-process campaign shards one sweep grid across worker
-//! processes. Workers coordinate through per-cell *lease files* under
-//! `<cache-root>/leases/`: claiming a cell atomically creates
-//! `<campaign>.<cell>.lease`, stamped with the claimant's process
-//! identity and a heartbeat deadline. A cell whose lease is held by a
-//! live process within its deadline is someone else's work; everything
-//! else — no lease, dead holder, expired deadline, unparsable stamp —
-//! is claimable.
+//! A lease is a file at a well-known path, stamped with the holder's
+//! process identity and a deadline: `"<pid> <starttime> <deadline_ms>"`.
+//! Whoever publishes the file owns the path; a live holder within its
+//! deadline keeps it, and everything else — no file, dead holder,
+//! expired deadline, unparsable stamp — is claimable. Two users share
+//! it:
+//!
+//! * **Cell leases** (`<cache-root>/leases/<cell-fp>.lease`, TTL
+//!   `LLBP_LEASE_TTL_MS`): the daemon's worker threads claim a cell
+//!   before probing, simulating and publishing it. The path is keyed by
+//!   the cell *fingerprint*, so two campaigns that share a cell contend
+//!   on one lease and the cell is computed once.
+//! * **Journal leases** (`<campaign>.journal.lock`, TTL
+//!   [`Duration::MAX`]): a campaign journal is held by exactly one
+//!   campaign. The deadline saturates, so only a dead or torn holder
+//!   loses it; a live one makes a second campaign wait
+//!   `LLBP_LOCK_WAIT_MS` and then fail with
+//!   [`SimError::CacheContention`].
 //!
 //! # Takeover
 //!
-//! Lease theft mirrors the dead-holder lock takeover in [`crate::lock`],
-//! including the PID-reuse hardening: the stamp carries the holder's
-//! process *start time* (from `/proc/<pid>/stat`) alongside its PID via
-//! [`ProcessStamp`], so a recycled PID belonging to an unrelated process
-//! does not keep a crashed worker's cells hostage. The deadline adds a
-//! second takeover trigger the lock does not need: a worker that is
-//! alive but wedged (or partitioned from the filesystem view) loses its
-//! claim once the deadline passes, bounded by `LLBP_LEASE_TTL_MS`.
+//! The stamp carries the holder's process *start time* (field 22 of
+//! `/proc/<pid>/stat`) alongside its PID via [`ProcessStamp`], so a
+//! recycled PID belonging to an unrelated process does not keep a
+//! crashed holder's lease hostage. The deadline is the second trigger:
+//! a holder that is alive but wedged loses its claim once the deadline
+//! passes. Where `/proc` is unavailable holders are assumed alive, so
+//! takeover can leave a stale lease for a human to delete but never
+//! steals from a live holder on a dead-PID guess.
 //!
 //! Claims are atomic *with their content*: the stamp is written to a
 //! private temp file and hard-linked into place, so no observer ever
 //! reads a half-written stamp (an empty lease would be judged torn and
-//! stolen — the lock file can afford create-then-stamp because it
-//! treats unreadable stamps as live, but leases must steal torn state
-//! or a crashed claim would wedge its cell forever). Renewal likewise
-//! replaces the file by rename. Theft is remove-then-relink: two
-//! concurrent stealers both unlink (one wins, one no-ops), then race
-//! the link — exactly one claims, the other observes the fresh live
-//! lease and backs off; holders verify ownership before publishing
-//! ([`CellLease::check`]), so the loser of any residual race discards
-//! its work instead of double-publishing.
+//! a live claim stolen). Theft is remove-then-relink: two concurrent
+//! stealers both unlink (one wins, one no-ops), then race the link —
+//! exactly one claims and the other sees a fresh live lease. A holder
+//! confirms the file still carries its exact stamp line before
+//! publishing ([`Lease::check`]), so the loser of any residual race —
+//! including a sibling thread of the same process that stole an expired
+//! lease — discards its work instead of double-publishing.
 //!
 //! # Fault injection
 //!
 //! `LLBP_FAULT_SPEC=lease:expire` simulates losing a lease mid-cell:
-//! [`CellLease::check`] consults the injector, and an armed rule unlinks
-//! the holder's own lease and surfaces [`SimError::LeaseLost`] — the
-//! same observable outcome as a genuine steal, so recovery paths are
-//! testable without real crashes.
+//! [`Lease::check`] consults the injector, and an armed rule unlinks the
+//! holder's own lease and reports it lost — the same observable outcome
+//! as a genuine steal.
 
 use crate::error::SimError;
 use crate::faultinject::FaultInjector;
-use crate::lock::ProcessStamp;
-use llbp_trace::fingerprint::Fingerprint;
+use llbp_obs::Telemetry;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Environment variable setting the lease heartbeat TTL in milliseconds.
+/// Environment variable setting the cell-lease TTL in milliseconds.
 pub const LEASE_TTL_ENV: &str = "LLBP_LEASE_TTL_MS";
 
-/// Lease TTL when [`LEASE_TTL_ENV`] is unset or unparsable: long enough
-/// that a healthy worker never loses a quick cell to clock skew, short
-/// enough that a wedged worker's cells are re-run within one campaign.
+/// Cell-lease TTL when [`LEASE_TTL_ENV`] is unset: long enough that a
+/// healthy worker never loses a quick cell to clock skew, short enough
+/// that a wedged worker's cells are re-run within one campaign.
 pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
 
-/// The lease TTL from [`LEASE_TTL_ENV`], else [`DEFAULT_LEASE_TTL`]
+/// Poll interval while waiting for a held lease.
+const RETRY_INTERVAL: Duration = Duration::from_millis(10);
+
+/// The cell-lease TTL from [`LEASE_TTL_ENV`], else [`DEFAULT_LEASE_TTL`]
 /// (values are clamped to >= 1 ms so a zero TTL cannot make every claim
 /// instantly stealable).
 ///
@@ -67,6 +78,97 @@ pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(30);
 pub fn lease_ttl_from_env() -> Result<Duration, SimError> {
     Ok(crate::envknob::parse_env::<u64>(LEASE_TTL_ENV)?
         .map_or(DEFAULT_LEASE_TTL, |ms| Duration::from_millis(ms.max(1))))
+}
+
+/// Whether `pid` refers to a live process, as far as this platform lets
+/// us tell. Errs toward "alive": a false positive merely reports
+/// contention, a false negative would steal a live holder's lease.
+#[must_use]
+pub fn pid_alive(pid: u32) -> bool {
+    if pid == std::process::id() {
+        return true;
+    }
+    let proc_root = Path::new("/proc");
+    if proc_root.is_dir() {
+        proc_root.join(pid.to_string()).exists()
+    } else {
+        true
+    }
+}
+
+/// The kernel start time (`starttime`, field 22 of `/proc/<pid>/stat`,
+/// in clock ticks since boot) of the given process, or `None` where the
+/// process is gone or `/proc` is unavailable.
+///
+/// PID + start time together name a process *incarnation*: a recycled
+/// PID gets a fresh start time, so a stamp carrying both can never be
+/// confused with the unrelated process that inherited its PID.
+#[must_use]
+pub fn process_start_time(pid: u32) -> Option<u64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name (field 2) is parenthesized and may itself contain
+    // spaces or parentheses; everything after the *last* `)` is
+    // whitespace-separated, starting with field 3 (state). starttime is
+    // field 22, i.e. index 19 of those tokens.
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_ascii_whitespace().nth(19)?.parse().ok()
+}
+
+/// A `pid [start-time]` holder identity, the first part of every lease
+/// stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcessStamp {
+    /// The stamping process's PID.
+    pub pid: u32,
+    /// Its kernel start time; `None` for legacy PID-only stamps or
+    /// platforms without `/proc`.
+    pub start_time: Option<u64>,
+}
+
+impl ProcessStamp {
+    /// The calling process's own stamp.
+    #[must_use]
+    pub fn current() -> Self {
+        let pid = std::process::id();
+        Self { pid, start_time: process_start_time(pid) }
+    }
+
+    /// Parses `"pid"` (legacy) or `"pid start-time"` stamp text.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<Self> {
+        let mut tokens = text.split_ascii_whitespace();
+        let pid = tokens.next()?.parse().ok()?;
+        let start_time = match tokens.next() {
+            Some(token) => Some(token.parse().ok()?),
+            None => None,
+        };
+        Some(Self { pid, start_time })
+    }
+
+    /// The stamp's wire form (no trailing newline).
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        match self.start_time {
+            Some(start) => format!("{} {start}", self.pid),
+            None => self.pid.to_string(),
+        }
+    }
+
+    /// Whether the stamped process incarnation is still alive. Dead PID
+    /// → dead. Live PID whose current start time differs from the
+    /// stamped one → the PID was recycled, the holder itself is dead.
+    /// Missing start-time information on either side falls back to the
+    /// conservative PID-liveness answer.
+    #[must_use]
+    pub fn alive(&self) -> bool {
+        if !pid_alive(self.pid) {
+            return false;
+        }
+        match (self.start_time, process_start_time(self.pid)) {
+            (Some(stamped), Some(current)) => stamped == current,
+            _ => true,
+        }
+    }
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -80,175 +182,115 @@ fn io_err(detail: std::io::Error) -> SimError {
     SimError::MemoIo { op: "lease", detail: detail.to_string() }
 }
 
-/// One campaign's lease directory: claims cells, steals stale claims.
-#[derive(Debug)]
-pub struct LeaseSet {
-    dir: PathBuf,
-    campaign: Fingerprint,
-    ttl: Duration,
-    takeovers: AtomicU64,
+/// Parses `"<pid> [<starttime>] <deadline_ms>"`.
+fn parse_lease(text: &str) -> Option<(ProcessStamp, u64)> {
+    let (identity, deadline) = text.trim().rsplit_once(char::is_whitespace)?;
+    Some((ProcessStamp::parse(identity)?, deadline.trim().parse().ok()?))
 }
 
-impl LeaseSet {
-    /// Opens (creating) the lease directory for `campaign` under the
-    /// cache root shared by the campaign's journals.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MemoIo`] when the directory cannot be created.
-    pub fn open(root: &Path, campaign: Fingerprint, ttl: Duration) -> Result<Self, SimError> {
-        let dir = root.join("leases");
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
-        Ok(Self {
-            dir,
-            campaign,
-            ttl: ttl.max(Duration::from_millis(1)),
-            takeovers: AtomicU64::new(0),
-        })
-    }
+/// The live holder of a lease file's contents, or `None` when the claim
+/// is stale: dead holder (PID *and* start time — see
+/// [`ProcessStamp::alive`]), passed deadline, or unparsable text (a torn
+/// write must not wedge the path forever).
+fn live_holder(text: &str) -> Option<ProcessStamp> {
+    let (stamp, deadline) = parse_lease(text)?;
+    (stamp.alive() && deadline > now_unix_ms()).then_some(stamp)
+}
 
-    /// The lease file path for one grid cell.
-    #[must_use]
-    pub fn path_for(&self, cell: usize) -> PathBuf {
-        self.dir.join(format!("{}.{cell}.lease", self.campaign))
-    }
+/// A held claim on one path. Dropping it releases the claim — the file
+/// is removed only if it still carries this lease's exact stamp line, so
+/// a stolen lease is never deleted out from under its new holder.
+#[derive(Debug)]
+pub struct Lease {
+    path: PathBuf,
+    /// The exact stamp line this lease published (identity + deadline).
+    line: String,
+    /// Stale claims stolen on the way to this one.
+    takeovers: u64,
+    /// How long the claim waited on a live holder.
+    waited: Duration,
+}
 
-    /// Stale leases stolen by this set so far (dead holders and expired
-    /// deadlines both count — each is one crashed-or-wedged worker's
-    /// cell taken over).
-    #[must_use]
-    pub fn takeovers(&self) -> u64 {
-        self.takeovers.load(Ordering::Relaxed)
-    }
-
-    /// Tries to claim `cell`. `Ok(None)` means a live holder within its
-    /// deadline owns it — someone else's work, move on. Stale claims
-    /// (dead holder, expired deadline, unparsable stamp) are stolen.
-    ///
-    /// The claim is atomic *with its stamp*: the stamp line is written
-    /// to a private temp file and published with `hard_link`, so a
-    /// concurrent claimant never reads an empty lease (it would be
-    /// judged torn and a live claim stolen).
+impl Lease {
+    /// Tries once to claim `path`. `Ok(None)` means a live holder within
+    /// its deadline owns it. Stale claims are stolen and counted in
+    /// [`Lease::takeovers`].
     ///
     /// # Errors
     ///
     /// [`SimError::MemoIo`] on filesystem failures.
-    pub fn try_claim(&self, cell: usize) -> Result<Option<CellLease>, SimError> {
-        let path = self.path_for(cell);
-        let stamp = ProcessStamp::current();
-        let tmp = self.claim_tmp_path(cell);
-        write_stamp_file(&tmp, stamp, self.ttl).map_err(io_err)?;
-        let claimed = self.link_claim(&tmp, &path);
-        let _ = remove_ignoring_missing(&tmp);
-        // The `CellLease` exists only once the claim is won: a losing
-        // claimant must never hold one, or its release-on-drop would
-        // delete the winner's lease whenever both share a process stamp
-        // (same-process claimants are indistinguishable by stamp).
-        claimed.map(|won| won.then(|| CellLease { path, cell, ttl: self.ttl, stamp }))
-    }
-
-    /// Publishes a pre-stamped claim by linking `tmp` to `path`;
-    /// `Ok(false)` means a live holder owns the cell.
-    fn link_claim(&self, tmp: &Path, path: &Path) -> Result<bool, SimError> {
-        // Bounded: each iteration either claims, backs off, or removes a
-        // stale file; a stealing race loses at most one iteration.
-        for _ in 0..4 {
-            match std::fs::hard_link(tmp, path) {
-                Ok(()) => return Ok(true),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match std::fs::read_to_string(path) {
-                        Ok(text) if holder_is_live(&text) => return Ok(false),
-                        // Stale (dead, expired, or torn): steal. A racing
-                        // stealer may have unlinked first — that is fine.
-                        Ok(_) => {
-                            self.takeovers.fetch_add(1, Ordering::Relaxed);
-                            remove_ignoring_missing(path).map_err(io_err)?;
-                        }
-                        // Unlinked between link and read: retry the link.
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(io_err(e)),
-                    }
-                }
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-        // Lost every race in the loop: someone live holds it now.
-        Ok(false)
-    }
-
-    /// A per-claim-attempt scratch path that no other claimant touches.
-    fn claim_tmp_path(&self, cell: usize) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        self.dir.join(format!(
-            ".{}.{cell}.{}-{}.tmp",
-            self.campaign,
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-}
-
-/// Whether a lease file's contents denote a live claim: the stamped
-/// process is alive (PID *and* start time — see [`ProcessStamp::alive`])
-/// and the heartbeat deadline has not passed. Unparsable text is not a
-/// live claim (a torn write must not wedge the cell forever).
-fn holder_is_live(text: &str) -> bool {
-    let Some((stamp, deadline)) = parse_lease(text) else {
-        return false;
-    };
-    stamp.alive() && deadline > now_unix_ms()
-}
-
-/// Parses `"<pid> <starttime> <deadline_ms>"` (the start time is optional
-/// for stamps from hosts without `/proc`, mirroring the lock format).
-fn parse_lease(text: &str) -> Option<(ProcessStamp, u64)> {
-    let text = text.trim();
-    let (identity, deadline) = text.rsplit_once(char::is_whitespace)?;
-    Some((ProcessStamp::parse(identity)?, deadline.trim().parse().ok()?))
-}
-
-/// A claimed grid cell. Dropping releases the claim (the file is removed
-/// only if it still carries this process's stamp, so a stolen lease is
-/// never deleted out from under its new holder).
-#[derive(Debug)]
-pub struct CellLease {
-    path: PathBuf,
-    cell: usize,
-    ttl: Duration,
-    stamp: ProcessStamp,
-}
-
-impl CellLease {
-    /// The grid cell this lease covers.
-    #[must_use]
-    pub fn cell(&self) -> usize {
-        self.cell
-    }
-
-    /// Heartbeat: pushes the deadline out by one TTL. Call between
-    /// phases of long cells so a healthy worker is never mistaken for a
-    /// wedged one.
-    ///
-    /// The new stamp replaces the file by rename — never a truncate in
-    /// place, which would expose an empty (hence torn-looking, hence
-    /// stealable) lease to concurrent claimants mid-renewal.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::LeaseLost`] when the lease file no longer carries this
-    /// process's stamp (it was stolen); [`SimError::MemoIo`] on other
-    /// filesystem failures.
-    pub fn renew(&self) -> Result<(), SimError> {
-        self.verify_ownership()?;
-        let tmp = self.path.with_extension(format!("renew-{}", std::process::id()));
-        write_stamp_file(&tmp, self.stamp, self.ttl).map_err(io_err)?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| {
-            let _ = remove_ignoring_missing(&tmp);
-            io_err(e)
+    pub fn try_claim(path: &Path, ttl: Duration) -> Result<Option<Self>, SimError> {
+        Ok(match claim_once(path, ttl)? {
+            Claim::Won(lease) => Some(lease),
+            Claim::Held { .. } => None,
         })
     }
 
-    /// Confirms this process still owns the cell, consulting the fault
+    /// Claims `path`, waiting up to `wait` for a live holder to release
+    /// it. Records a `lock_wait` span whenever the claim did not succeed
+    /// on the first try (including the failing path) and a
+    /// `lock_takeover` mark per stale claim stolen.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CacheContention`] naming the holder PID when a live
+    /// holder outlasts `wait`; [`SimError::MemoIo`] on filesystem
+    /// failures.
+    pub fn acquire(
+        path: &Path,
+        ttl: Duration,
+        wait: Duration,
+        telemetry: &Telemetry,
+    ) -> Result<Self, SimError> {
+        let started = Instant::now();
+        let mut takeovers = 0u64;
+        let mut contended = false;
+        let observe = |contended: bool, takeovers: u64| {
+            if contended || takeovers > 0 {
+                telemetry.record_span("lock_wait", started, Instant::now(), -1);
+            }
+            for _ in 0..takeovers {
+                telemetry.mark("lock_takeover", -1);
+            }
+        };
+        loop {
+            match claim_once(path, ttl)? {
+                Claim::Won(mut lease) => {
+                    lease.takeovers += takeovers;
+                    observe(contended, lease.takeovers);
+                    lease.waited = if contended { started.elapsed() } else { Duration::ZERO };
+                    return Ok(lease);
+                }
+                Claim::Held { holder, takeovers: stolen } => {
+                    takeovers += stolen;
+                    if started.elapsed() >= wait {
+                        observe(true, takeovers);
+                        return Err(SimError::CacheContention {
+                            path: path.display().to_string(),
+                            holder: holder.map(|stamp| stamp.pid),
+                        });
+                    }
+                    contended = true;
+                    std::thread::sleep(RETRY_INTERVAL);
+                }
+            }
+        }
+    }
+
+    /// Stale claims (dead holder, passed deadline, torn stamp) stolen
+    /// while claiming.
+    #[must_use]
+    pub fn takeovers(&self) -> u64 {
+        self.takeovers
+    }
+
+    /// How long the claim blocked on a live holder (zero if it did not).
+    #[must_use]
+    pub fn wait_duration(&self) -> Duration {
+        self.waited
+    }
+
+    /// Whether this lease still owns its path, consulting the fault
     /// injector first: an armed `lease:expire` rule unlinks our own
     /// lease and reports it lost — the same observable outcome as a
     /// genuine steal. Call before publishing a result, so a cell whose
@@ -257,56 +299,112 @@ impl CellLease {
     ///
     /// # Errors
     ///
-    /// [`SimError::LeaseLost`] when the claim is gone (stolen, expired
-    /// and collected, or injected); [`SimError::MemoIo`] on other
-    /// filesystem failures.
-    pub fn check(&self, faults: Option<&FaultInjector>) -> Result<(), SimError> {
+    /// [`SimError::MemoIo`] on filesystem failures other than a missing
+    /// file (which is a lost lease, `Ok(false)`).
+    pub fn check(&self, faults: Option<&FaultInjector>) -> Result<bool, SimError> {
         if faults.is_some_and(FaultInjector::check_lease_expire) {
-            let _ = remove_ignoring_missing(&self.path);
-            return Err(SimError::LeaseLost { cell: self.cell });
+            remove_ignoring_missing(&self.path).map_err(io_err)?;
+            return Ok(false);
         }
-        self.verify_ownership()
-    }
-
-    /// Whether the on-disk lease still carries our stamp.
-    fn verify_ownership(&self) -> Result<(), SimError> {
         match std::fs::read_to_string(&self.path) {
-            Ok(text) => match parse_lease(&text) {
-                Some((stamp, _)) if stamp == self.stamp => Ok(()),
-                _ => Err(SimError::LeaseLost { cell: self.cell }),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(SimError::LeaseLost { cell: self.cell })
-            }
+            Ok(text) => Ok(text == self.line),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
             Err(e) => Err(io_err(e)),
         }
     }
 }
 
-impl Drop for CellLease {
+impl Drop for Lease {
     fn drop(&mut self) {
         // Release only our own claim: after a steal the file belongs to
         // the new holder and must survive this drop.
-        if self.verify_ownership().is_ok() {
+        if self.check(None).unwrap_or(false) {
             let _ = remove_ignoring_missing(&self.path);
         }
     }
 }
 
-/// Writes a fresh stamp line (holder identity + deadline one TTL out) to
-/// `path`, fully synced before return, so linking or renaming the file
-/// into place publishes complete content.
-fn write_stamp_file(path: &Path, stamp: ProcessStamp, ttl: Duration) -> std::io::Result<()> {
-    use std::io::Write as _;
+/// The outcome of one claim attempt.
+enum Claim {
+    Won(Lease),
+    /// A live holder owns the path; `takeovers` stale claims were stolen
+    /// before losing the race to it.
+    Held {
+        holder: Option<ProcessStamp>,
+        takeovers: u64,
+    },
+}
+
+/// One claim attempt: publishes a fresh stamp by linking a private temp
+/// file to `path`, stealing stale claims on the way.
+fn claim_once(path: &Path, ttl: Duration) -> Result<Claim, SimError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let deadline = now_unix_ms().saturating_add(u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX));
+    let line = format!("{} {deadline}\n", ProcessStamp::current().to_line());
+    let name = path.file_name().map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}-{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_synced(&tmp, &line).map_err(io_err)?;
+    let outcome = link_claim(&tmp, path);
+    let _ = remove_ignoring_missing(&tmp);
+    // The `Lease` exists only once the claim is won: a losing claimant
+    // must never hold one, or its release-on-drop would delete the
+    // winner's lease.
+    let (won, holder, takeovers) = outcome?;
+    Ok(if won {
+        Claim::Won(Lease { path: path.to_path_buf(), line, takeovers, waited: Duration::ZERO })
+    } else {
+        Claim::Held { holder, takeovers }
+    })
+}
+
+/// Links `tmp` to `path`: `(true, _, stolen)` when claimed,
+/// `(false, holder, stolen)` when a live holder owns it.
+fn link_claim(tmp: &Path, path: &Path) -> Result<(bool, Option<ProcessStamp>, u64), SimError> {
+    let mut takeovers = 0u64;
+    // Bounded: each iteration either claims, backs off, or removes a
+    // stale file; a stealing race loses at most one iteration.
+    for _ in 0..4 {
+        match std::fs::hard_link(tmp, path) {
+            Ok(()) => return Ok((true, None, takeovers)),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                match std::fs::read_to_string(path) {
+                    Ok(text) => match live_holder(&text) {
+                        Some(live) => return Ok((false, Some(live), takeovers)),
+                        // Stale (dead, expired, or torn): steal. A racing
+                        // stealer may have unlinked first — that is fine.
+                        None => {
+                            takeovers += 1;
+                            remove_ignoring_missing(path).map_err(io_err)?;
+                        }
+                    },
+                    // Unlinked between link and read: retry the link.
+                    Err(e) if e.kind() == ErrorKind::NotFound => {}
+                    Err(e) => return Err(io_err(e)),
+                }
+            }
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    // Lost every race in the loop: someone live holds it now.
+    Ok((false, None, takeovers))
+}
+
+/// Writes `text` to a fresh file at `path`, synced before return, so
+/// linking it into place publishes complete content.
+fn write_synced(path: &Path, text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
     let mut file = std::fs::File::create(path)?;
-    file.write_all(format!("{} {deadline}\n", stamp.to_line()).as_bytes())?;
+    file.write_all(text.as_bytes())?;
     file.sync_all()
 }
 
 fn remove_ignoring_missing(path: &Path) -> std::io::Result<()> {
     match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        Err(e) if e.kind() != ErrorKind::NotFound => Err(e),
         _ => Ok(()),
     }
 }
@@ -327,134 +425,130 @@ mod tests {
         dir
     }
 
-    fn set(root: &Path, ttl: Duration) -> LeaseSet {
-        LeaseSet::open(root, Fingerprint(0xfeed), ttl).expect("lease set opens")
+    const TTL: Duration = Duration::from_secs(30);
+
+    fn claim(path: &Path) -> Option<Lease> {
+        Lease::try_claim(path, TTL).expect("io")
+    }
+
+    /// Our own PID with a perturbed start time: the PID-reuse shape,
+    /// where the PID is alive but names a different incarnation.
+    fn recycled_stamp(bump: u64) -> ProcessStamp {
+        ProcessStamp {
+            pid: std::process::id(),
+            start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + bump),
+        }
     }
 
     #[test]
     fn claim_is_exclusive_until_released() {
         let root = scratch_root("exclusive");
-        let leases = set(&root, Duration::from_secs(30));
-        let held = leases.try_claim(3).expect("io").expect("first claim wins");
-        assert_eq!(held.cell(), 3);
-        assert!(leases.try_claim(3).expect("io").is_none(), "live lease must not be stolen");
-        assert!(leases.try_claim(4).expect("io").is_some(), "other cells are free");
+        let (a, b) = (root.join("a.lease"), root.join("b.lease"));
+        let held = claim(&a).expect("first claim wins");
+        assert!(claim(&a).is_none(), "live lease must not be stolen");
+        assert!(claim(&b).is_some(), "other paths are free");
         drop(held);
-        assert!(leases.try_claim(3).expect("io").is_some(), "released cell is claimable");
+        assert!(!a.exists(), "drop releases the lease");
+        assert!(claim(&a).is_some(), "released path is claimable");
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn dead_holder_leases_are_stolen_but_recycled_pids_are_not_trusted() {
         let root = scratch_root("dead");
-        let leases = set(&root, Duration::from_secs(30));
-        // A "crashed worker": our PID but a perturbed start time — the
-        // PID-reuse shape, where the PID is alive but belongs to a
-        // different process incarnation.
-        let dead = ProcessStamp {
-            pid: std::process::id(),
-            start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 1),
-        };
+        let path = root.join("cell.lease");
         let deadline = now_unix_ms() + 60_000;
-        std::fs::write(leases.path_for(0), format!("{} {deadline}\n", dead.to_line()))
+        std::fs::write(&path, format!("{} {deadline}\n", recycled_stamp(1).to_line()))
             .expect("plant stale lease");
-        let stolen = leases.try_claim(0).expect("io").expect("dead holder must be stolen");
-        assert_eq!(leases.takeovers(), 1);
-        drop(stolen);
+        let stolen = claim(&path).expect("dead holder must be stolen");
+        assert_eq!(stolen.takeovers(), 1);
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn expired_deadlines_are_stolen_even_from_live_holders() {
         let root = scratch_root("expired");
-        let leases = set(&root, Duration::from_secs(30));
+        let path = root.join("cell.lease");
         // Genuinely our own live process — but the deadline has passed,
         // which is the wedged-worker takeover trigger.
         let stale_deadline = now_unix_ms().saturating_sub(1);
-        std::fs::write(
-            leases.path_for(1),
-            format!("{} {stale_deadline}\n", ProcessStamp::current().to_line()),
-        )
-        .expect("plant expired lease");
-        assert!(leases.try_claim(1).expect("io").is_some(), "expired lease must be stolen");
-        assert_eq!(leases.takeovers(), 1);
+        std::fs::write(&path, format!("{} {stale_deadline}\n", ProcessStamp::current().to_line()))
+            .expect("plant expired lease");
+        let stolen = claim(&path).expect("expired lease must be stolen");
+        assert_eq!(stolen.takeovers(), 1);
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn torn_stamps_do_not_wedge_the_cell() {
         let root = scratch_root("torn");
-        let leases = set(&root, Duration::from_secs(30));
-        std::fs::write(leases.path_for(2), "gar bage not a lease").expect("plant torn lease");
-        assert!(leases.try_claim(2).expect("io").is_some(), "torn lease must be claimable");
+        let path = root.join("cell.lease");
+        for torn in ["gar bage not a lease", "", "12345\n", "not-a-pid\n"] {
+            std::fs::write(&path, torn).expect("plant torn lease");
+            let stolen = claim(&path).unwrap_or_else(|| panic!("torn {torn:?} must be claimable"));
+            assert_eq!(stolen.takeovers(), 1);
+        }
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn renew_extends_and_stolen_leases_fail_ownership_checks() {
-        let root = scratch_root("renew");
-        let leases = set(&root, Duration::from_millis(5));
-        let held = leases.try_claim(0).expect("io").expect("claim");
-        held.renew().expect("renew while owned");
-        held.check(None).expect("owned lease passes check");
-        // Simulate a steal: another holder's stamp lands in the file.
-        let thief = ProcessStamp {
-            pid: std::process::id(),
-            start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 99),
-        };
-        std::fs::write(
-            leases.path_for(0),
-            format!("{} {}\n", thief.to_line(), now_unix_ms() + 60_000),
-        )
-        .expect("overwrite with thief stamp");
-        let err = held.check(None).expect_err("stolen lease must fail");
-        assert!(matches!(err, SimError::LeaseLost { cell: 0 }));
-        assert_eq!(err.exit_code(), 5);
-        assert!(held.renew().is_err(), "renew after steal must fail");
+    fn stolen_leases_fail_ownership_checks() {
+        // A cell outliving its TTL: a sibling in this very process (same
+        // PID and start time) steals the expired lease. Only the
+        // deadline tells the two stamps apart, and that is enough for
+        // the first holder to discard its copy.
+        let root = scratch_root("stolen");
+        let path = root.join("cell.lease");
+        let held = Lease::try_claim(&path, Duration::from_millis(1)).expect("io").expect("claim");
+        assert!(held.check(None).expect("io"), "owned lease passes check");
+        std::thread::sleep(Duration::from_millis(5));
+        let thief = claim(&path).expect("expired lease is stolen");
+        assert_eq!(thief.takeovers(), 1);
+        assert!(!held.check(None).expect("io"), "stolen lease must fail its check");
+        assert!(thief.check(None).expect("io"), "the thief owns it now");
         drop(held);
-        assert!(leases.path_for(0).exists(), "drop must not delete the thief's lease");
+        assert!(path.exists(), "drop must not delete the thief's lease");
+        drop(thief);
+        assert!(!path.exists());
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn injected_lease_expiry_surfaces_as_lease_lost() {
+    fn injected_lease_expiry_surfaces_as_lost() {
         let root = scratch_root("inject");
-        let leases = set(&root, Duration::from_secs(30));
-        let held = leases.try_claim(5).expect("io").expect("claim");
+        let path = root.join("cell.lease");
+        let held = claim(&path).expect("claim");
         let faults = FaultInjector::parse("lease:expire:count=1").expect("spec parses");
-        let err = held.check(Some(&faults)).expect_err("armed rule must fire");
-        assert!(matches!(err, SimError::LeaseLost { cell: 5 }));
-        assert!(err.is_transient(), "a lost lease is retryable by a future holder");
-        // The rule fired once; with it exhausted the loss is permanent
-        // on disk (the file was unlinked), so the cell is re-claimable.
-        assert!(leases.try_claim(5).expect("io").is_some());
+        assert!(!held.check(Some(&faults)).expect("io"), "armed rule must fire");
+        // The rule unlinked the lease, so the loss is real on disk and
+        // the path is re-claimable.
+        assert!(claim(&path).is_some());
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn racing_claimants_never_mistake_a_fresh_claim_for_a_torn_lease() {
-        // Regression: claims used to be create-then-stamp, so a racing
-        // claimant could read the empty file in between, judge it torn,
-        // and steal a live lease. With hard-link publication the file is
-        // never observable without its stamp: every round has exactly
-        // one winner and nothing is ever counted as a takeover.
+        // Claims are published by hard link, so a lease file is never
+        // observable without its stamp: every round has exactly one
+        // winner and nothing is ever counted as a takeover.
         let root = scratch_root("race");
-        let leases = set(&root, Duration::from_secs(30));
         const THREADS: usize = 4;
         const ROUNDS: usize = 200;
         let barrier = std::sync::Barrier::new(THREADS);
         let wins: Vec<AtomicU32> = (0..ROUNDS).map(|_| AtomicU32::new(0)).collect();
+        let takeovers = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 scope.spawn(|| {
                     for (round, won) in wins.iter().enumerate() {
                         barrier.wait();
-                        let claim = leases.try_claim(round).expect("io");
-                        if claim.is_some() {
+                        let claim = claim(&root.join(format!("{round}.lease")));
+                        if let Some(lease) = &claim {
                             won.fetch_add(1, Ordering::Relaxed);
+                            takeovers.fetch_add(lease.takeovers(), Ordering::Relaxed);
                         }
                         // Hold until every thread has attempted, so the
-                        // winner's release cannot look like a free cell.
+                        // winner's release cannot look like a free path.
                         barrier.wait();
                         drop(claim);
                     }
@@ -464,18 +558,94 @@ mod tests {
         for (round, count) in wins.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "round {round} must have one winner");
         }
-        assert_eq!(leases.takeovers(), 0, "no live claim may be judged torn and stolen");
+        assert_eq!(takeovers.into_inner(), 0, "no live claim may be judged torn and stolen");
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn ttl_env_parsing_clamps_and_defaults() {
-        assert_eq!(DEFAULT_LEASE_TTL, Duration::from_secs(30));
-        // `lease_ttl_from_env` reads the live environment; exercise the
-        // clamp through `LeaseSet::open` instead of mutating env state.
-        let root = scratch_root("ttl");
-        let leases = set(&root, Duration::ZERO);
-        assert_eq!(leases.ttl, Duration::from_millis(1), "zero TTL is clamped");
+    fn live_holder_means_contention_naming_its_pid() {
+        let root = scratch_root("contended");
+        let path = root.join("journal.lock");
+        let telemetry = Telemetry::disabled();
+        let _held =
+            Lease::acquire(&path, Duration::MAX, Duration::ZERO, &telemetry).expect("first");
+        let err = Lease::acquire(&path, Duration::MAX, Duration::from_millis(30), &telemetry)
+            .expect_err("second claimant must fail");
+        match err {
+            SimError::CacheContention { holder, .. } => {
+                assert_eq!(holder, Some(std::process::id()), "holder pid is reported");
+            }
+            other => panic!("expected contention, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn saturated_deadlines_only_fall_to_dead_holders() {
+        let root = scratch_root("saturated");
+        let path = root.join("journal.lock");
+        let telemetry = Telemetry::enabled();
+        let held = Lease::acquire(&path, Duration::MAX, Duration::ZERO, &telemetry).expect("claim");
+        let text = std::fs::read_to_string(&path).expect("stamped");
+        let (stamp, deadline) = parse_lease(&text).expect("stamp parses");
+        assert_eq!(stamp, ProcessStamp::current());
+        assert_eq!(deadline, u64::MAX, "a Duration::MAX TTL saturates the deadline");
+        drop(held);
+        // The same stamp from a dead incarnation is taken over.
+        std::fs::write(&path, format!("{} {}\n", recycled_stamp(1).to_line(), u64::MAX))
+            .expect("plant dead holder");
+        let lease = Lease::acquire(&path, Duration::MAX, Duration::ZERO, &telemetry)
+            .expect("dead holder is taken over");
+        assert_eq!(lease.takeovers(), 1);
+        assert_eq!(telemetry.metrics().counters["lock_takeover"], 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn waiting_acquirer_wins_after_release() {
+        let root = scratch_root("handoff");
+        let path = root.join("journal.lock");
+        let held = Lease::acquire(&path, Duration::MAX, Duration::ZERO, &Telemetry::disabled())
+            .expect("first");
+        assert_eq!(held.wait_duration(), Duration::ZERO, "uncontended claim has no wait");
+        let telemetry = Telemetry::enabled();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                Lease::acquire(&path, Duration::MAX, Duration::from_secs(10), &telemetry)
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            drop(held);
+            let lease = waiter.join().expect("no panic").expect("acquired after release");
+            assert!(lease.wait_duration() > Duration::ZERO, "handoff wait must be measured");
+        });
+        let events = telemetry.drain_events();
+        let wait = events.iter().find(|e| e.name == "lock_wait").expect("lock_wait span");
+        assert!(wait.dur_us > 0, "lock_wait span must carry the blocked duration");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn legacy_and_full_stamps_parse() {
+        let stamp = ProcessStamp::parse("12345\n").expect("legacy stamp parses");
+        assert_eq!(stamp, ProcessStamp { pid: 12345, start_time: None });
+        let full = ProcessStamp::parse("12345 678\n").expect("full stamp parses");
+        assert_eq!(full, ProcessStamp { pid: 12345, start_time: Some(678) });
+        assert_eq!(full.to_line(), "12345 678");
+        assert!(ProcessStamp::parse("").is_none());
+        assert!(ProcessStamp::parse("pid 5").is_none());
+        assert!(ProcessStamp::parse("5 then").is_none(), "trailing garbage is not a stamp");
+        assert_eq!(parse_lease("12345 99\n"), Some((stamp, 99)), "PID-only lease stamp");
+        assert_eq!(parse_lease("12345 678 99\n"), Some((full, 99)));
+    }
+
+    #[test]
+    fn own_start_time_is_readable_and_stable() {
+        if !Path::new("/proc").is_dir() {
+            return;
+        }
+        let first = process_start_time(std::process::id()).expect("own stat readable");
+        let second = process_start_time(std::process::id()).expect("still readable");
+        assert_eq!(first, second, "start time never changes within one incarnation");
+        assert!(ProcessStamp::current().alive(), "we are our own live incarnation");
     }
 }

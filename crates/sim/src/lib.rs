@@ -17,7 +17,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod coord;
 pub mod driver;
 pub mod energy;
 pub mod engine;
@@ -27,7 +26,6 @@ pub mod faultinject;
 pub mod journal;
 pub mod l1i;
 pub mod lease;
-pub mod lock;
 pub mod memo;
 pub mod patterns;
 pub mod report;
@@ -37,16 +35,14 @@ pub mod timing;
 
 pub use cache::TraceCache;
 pub use config::{PredictorKind, SimConfig};
-pub use coord::{finish_campaign, run_shard, CellInterlock, ShardConfig, WORKER_ABORT_ENV};
 pub use driver::{LlbpCellStats, SimResult, SIM_BLOCK};
 pub use energy::EnergyModel;
-pub use engine::{JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
+pub use engine::{grid_fingerprints, JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
 pub use error::{CancelToken, SimError};
 pub use faultinject::{FaultInjector, FAULT_SPEC_ENV};
-pub use journal::{campaign_fingerprint, merge_outcomes, CampaignJournal, CellOutcome};
+pub use journal::{campaign_fingerprint, CampaignJournal, CellOutcome, LOCK_WAIT_ENV};
 pub use l1i::L1iCache;
-pub use lease::{lease_ttl_from_env, CellLease, LeaseSet, LEASE_TTL_ENV};
-pub use lock::{LockFile, LOCK_WAIT_ENV};
+pub use lease::{lease_ttl_from_env, Lease, ProcessStamp, LEASE_TTL_ENV};
 pub use memo::{CachedCell, MemoStore, MEMO_FORMAT_VERSION};
 pub use store::{ObjectKind, StorageBackend, STORE_ENV};
 pub use timing::TimingModel;

@@ -1,28 +1,26 @@
-//! `llbp-serve`: the resident sweep daemon (DESIGN.md §12).
+//! `llbp-serve`: the resident sweep daemon and the repo's only
+//! multi-worker campaign runner (DESIGN.md §12).
 //!
-//! The distributed story so far shards **one** campaign across worker
-//! processes (`llbp-coord`) against a shared object store
-//! (`llbp-store`). What neither covers is *concurrent, independent*
-//! campaigns: two researchers sweeping overlapping grids each pay for
-//! the shared cells, because leases are namespaced per campaign and the
-//! memo probe only dedups cells that already finished. The daemon
-//! closes that gap by being the one process where every campaign runs:
+//! Every campaign that wants more than one process's worth of
+//! coordination runs here, and clients stay thin:
 //!
 //! * Clients submit a [`SweepSpec`] over the same length-prefixed
 //!   framing the object store speaks ([`crate::store::proto`], ops
 //!   `SubmitSweep`/`PollSweep`/`StreamCells`), encoded field-exactly by
 //!   [`wire`] so cell fingerprints match a local run bit-for-bit.
-//! * Each campaign runs the `llbp-coord` shard machinery in-process:
-//!   worker threads race lease claims ([`crate::coord::run_shard_observed`])
-//!   and a reconcile loop recovers anything they drop — journals, lease
-//!   takeovers and the durable merged-journal publish all behave
-//!   exactly as in the multi-process deployment, which is what makes a
-//!   daemon restart resumable: the journals and the store on disk *are*
-//!   the campaign state.
-//! * A daemon-global [`CellInterlock`] spans campaigns: a cell two
-//!   in-flight grids share is held by whichever reached it first, the
-//!   second blocks until publish and then memo-hits. One simulation,
-//!   every campaign served.
+//! * Each campaign holds its journal's lease and shares one
+//!   [`CampaignJournal`], opened in resume mode, among its worker
+//!   threads. The threads take cells from one queue; each cell is
+//!   claimed through its fingerprint-keyed lease before it is probed,
+//!   simulated and published ([`shard`]). A reconcile loop re-runs
+//!   whatever a pass left unresolved under `LLBP_SERVE_MAX_PASSES`.
+//! * Because cell leases are keyed by fingerprint, a cell two in-flight
+//!   campaigns share has one lease: the later campaign skips it and
+//!   memo-hits it on its next pass. One simulation, every campaign
+//!   served.
+//! * The journal and the store on disk *are* the campaign state, so a
+//!   restarted daemon resumes: published cells memo-hit and a dead
+//!   incarnation's leases are stolen.
 //! * Results stream back incrementally: `StreamCells` returns raw
 //!   published cell bytes in grid order as they complete, so a client
 //!   reconstructs the exact [`SweepReport`](crate::engine::SweepReport)
@@ -36,23 +34,24 @@
 //! whole-campaign dedup is free and poll/stream are idempotent reads.
 
 pub mod client;
+mod shard;
 pub mod wire;
 
-use crate::coord::{
-    grid_fingerprints, read_worker_journals, run_shard_observed, write_merged_journal,
-    CellInterlock, ShardConfig, ShardHooks, ShardSummary,
-};
-use crate::engine::SweepSpec;
-use crate::error::{backoff_delay, SimError};
+use crate::cache::TraceCache;
+use crate::engine::{grid_fingerprints, retries_from_env, run_indexed, SweepSpec};
+use crate::error::{backoff_delay, panic_message, SimError};
 use crate::faultinject::FaultInjector;
-use crate::journal::{campaign_fingerprint, merge_outcomes, CellOutcome};
+use crate::journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
+use crate::lease::lease_ttl_from_env;
 use crate::memo::MemoStore;
 use crate::store::proto::{self, Op, Request, Response};
 use llbp_obs::Telemetry;
 use llbp_trace::fingerprint::Fingerprint;
+use shard::CellRunner;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -110,16 +109,17 @@ pub struct CampaignStatus {
     /// Cells this campaign simulated itself.
     pub completed: u64,
     /// Cells served from the memo store (including cells another
-    /// concurrent campaign computed).
+    /// concurrent campaign computed): `done − completed`.
     pub memo_served: u64,
-    /// Stale leases stolen (dead incarnations taken over).
+    /// Stale leases stolen (dead incarnations taken over), the journal's
+    /// included.
     pub takeovers: u64,
     /// Reconcile passes run so far.
     pub passes: u32,
     /// Worker threads driving the campaign.
     pub workers: u64,
-    /// Whether the campaign finished (merged journal written, or the
-    /// error below set).
+    /// Whether the campaign finished (every cell resolved, or the error
+    /// below set).
     pub finished: bool,
     /// Campaign-fatal error text, when the run died.
     pub error: Option<String>,
@@ -241,13 +241,12 @@ pub(crate) fn parse_entries(payload: &[u8]) -> Result<Vec<(usize, StreamedCell)>
 // Daemon state
 // ---------------------------------------------------------------------
 
-/// Progress of one resident campaign, updated by the shard observer and
+/// Progress of one resident campaign, updated by its worker threads and
 /// read by poll/stream handlers.
 #[derive(Debug, Default)]
 struct Progress {
     outcomes: HashMap<usize, CellOutcome>,
     completed: u64,
-    memo_served: u64,
     takeovers: u64,
     passes: u32,
     finished: bool,
@@ -269,17 +268,17 @@ impl CampaignState {
         self.progress.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Observer entry: a shard thread journaled this outcome.
-    fn note(&self, index: usize, outcome: &CellOutcome) {
-        self.lock().outcomes.insert(index, outcome.clone());
-    }
-
-    /// Folds one finished shard pass into the counters.
-    fn absorb(&self, summary: &ShardSummary) {
-        let mut progress = self.lock();
-        progress.completed += summary.completed;
-        progress.memo_served += summary.memo_served;
-        progress.takeovers += summary.takeovers;
+    /// Cells still to resolve: no outcome yet, or journaled ok but
+    /// missing from the store (a publish that never landed).
+    fn pending(&self, store: &MemoStore) -> Vec<usize> {
+        let progress = self.lock();
+        (0..self.fps.len())
+            .filter(|index| match progress.outcomes.get(index) {
+                None => true,
+                Some(CellOutcome::Failed { .. }) => false,
+                Some(_) => !store.has_result(self.fps[*index]),
+            })
+            .collect()
     }
 
     fn finish(&self, error: Option<String>) {
@@ -302,7 +301,7 @@ impl CampaignState {
             done,
             failed,
             completed: progress.completed,
-            memo_served: progress.memo_served,
+            memo_served: done.saturating_sub(progress.completed),
             takeovers: progress.takeovers,
             passes: progress.passes,
             workers: self.workers as u64,
@@ -332,7 +331,6 @@ struct DaemonState {
     store: Arc<MemoStore>,
     faults: Option<Arc<FaultInjector>>,
     telemetry: Telemetry,
-    interlock: CellInterlock,
     campaigns: Mutex<HashMap<u128, Arc<CampaignState>>>,
     stop: AtomicBool,
     addr: SocketAddr,
@@ -376,9 +374,9 @@ impl ServeHandle {
 
 impl ServeDaemon {
     /// Binds `addr` and serves campaigns against `store`. The injector
-    /// (usually from `LLBP_FAULT_SPEC`) reaches both the store IO and
-    /// the merged-journal crash hook, so fault campaigns exercise the
-    /// daemon exactly like the multi-process coordinator.
+    /// (usually from `LLBP_FAULT_SPEC`) reaches the cell leases
+    /// (`lease:expire`, `crash:claim`); the caller attaches it to the
+    /// store for IO faults.
     ///
     /// # Errors
     ///
@@ -394,7 +392,6 @@ impl ServeDaemon {
             store,
             faults,
             telemetry: Telemetry::enabled(),
-            interlock: CellInterlock::new(),
             campaigns: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
             addr: bound,
@@ -417,7 +414,7 @@ impl ServeDaemon {
     /// Serves connections until a `Shutdown` request or
     /// [`ServeHandle::shutdown`]. Thread-per-connection; campaigns
     /// already running keep running to completion even as the accept
-    /// loop exits (their journals and published cells are the durable
+    /// loop exits (their journal and published cells are the durable
     /// record either way).
     pub fn run(self) {
         for conn in self.listener.incoming() {
@@ -499,7 +496,10 @@ fn submit(state: &Arc<DaemonState>, payload: &[u8]) -> Result<Fingerprint, SimEr
     let campaign = campaign_fingerprint(&fps);
     {
         let mut campaigns = state.campaigns.lock().unwrap_or_else(PoisonError::into_inner);
-        if campaigns.contains_key(&campaign.0) {
+        // A failed campaign is re-run on resubmission, so a transient
+        // failure (journal contention with a local campaign) does not
+        // pin its grid for the daemon's lifetime.
+        if campaigns.get(&campaign.0).is_some_and(|resident| resident.lock().error.is_none()) {
             state.telemetry.counter("serve_campaigns_deduped_total").inc();
             return Ok(campaign);
         }
@@ -510,14 +510,7 @@ fn submit(state: &Arc<DaemonState>, payload: &[u8]) -> Result<Fingerprint, SimEr
         let daemon = Arc::clone(state);
         std::thread::Builder::new()
             .name(format!("campaign-{campaign}"))
-            .spawn(move || {
-                let outcome = drive_campaign(&daemon, &resident, max_passes);
-                if let Err(e) = &outcome {
-                    daemon.telemetry.counter("serve_campaigns_failed_total").inc();
-                    eprintln!("llbp-serve: campaign {campaign} failed: {e}");
-                }
-                resident.finish(outcome.err().map(|e| e.to_string()));
-            })
+            .spawn(move || run_campaign(&daemon, &resident, max_passes))
             .map_err(|e| SimError::MemoIo {
                 op: "serve_submit",
                 detail: format!("cannot spawn campaign runner: {e}"),
@@ -526,88 +519,51 @@ fn submit(state: &Arc<DaemonState>, payload: &[u8]) -> Result<Fingerprint, SimEr
     Ok(campaign)
 }
 
-/// Runs one campaign to completion inside the daemon: worker threads
-/// race lease claims over the grid (sharing the daemon-global
-/// interlock), a reconcile loop recovers dropped cells, and the merged
-/// canonical journal is published with the full durability recipe.
+/// A campaign runner thread's body: drives the campaign, then marks it
+/// finished with its error, if any. A panic also finishes it, or its
+/// clients would poll an unfinished status forever.
+fn run_campaign(daemon: &DaemonState, campaign: &CampaignState, max_passes: u32) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| drive_campaign(daemon, campaign, max_passes)))
+        .unwrap_or_else(|payload| {
+            Err(SimError::MemoIo {
+                op: "serve_campaign",
+                detail: format!("campaign runner panicked: {}", panic_message(payload.as_ref())),
+            })
+        });
+    if let Err(e) = &outcome {
+        daemon.telemetry.counter("serve_campaigns_failed_total").inc();
+        eprintln!("llbp-serve: campaign {} failed: {e}", campaign.campaign);
+    }
+    campaign.finish(outcome.err().map(|e| e.to_string()));
+}
+
+/// Runs one campaign to completion inside the daemon: claims the
+/// campaign's journal, then runs passes of the worker pool over the
+/// unresolved cells until none is left or the pass budget runs out.
 fn drive_campaign(
     daemon: &DaemonState,
     campaign: &CampaignState,
     max_passes: u32,
 ) -> Result<(), SimError> {
-    let spec = &campaign.spec;
     let store = &daemon.store;
-    let faults = daemon.faults.as_ref();
-    let observer = |index: usize, outcome: &CellOutcome| {
-        campaign.note(index, outcome);
-        if matches!(outcome, CellOutcome::Failed { .. }) {
-            daemon.telemetry.counter("serve_cells_failed_total").inc();
-        }
+    let journal = CampaignJournal::open(store.root(), campaign.campaign, true)?;
+    campaign.lock().takeovers += journal.lock_stats().1;
+    let runner = CellRunner {
+        spec: &campaign.spec,
+        fps: &campaign.fps,
+        store,
+        cache: &TraceCache::with_store(Arc::clone(store), false),
+        faults: daemon.faults.as_deref(),
+        ttl: lease_ttl_from_env()?,
+        max_retries: retries_from_env()?,
     };
-    let hooks = ShardHooks { interlock: Some(&daemon.interlock), observer: Some(&observer) };
-
-    // Worker phase: same-pid leases look live to sibling threads, so
-    // the claim race shards the grid exactly as separate processes
-    // would; a previous daemon incarnation's dead-pid leases are stolen
-    // by the standard takeover path, and its published cells memo-hit.
-    let summaries: Vec<Result<ShardSummary, SimError>> = std::thread::scope(|scope| {
-        let hooks = &hooks;
-        let handles: Vec<_> = (0..campaign.workers)
-            .map(|wid| {
-                scope.spawn(move || -> Result<ShardSummary, SimError> {
-                    let cfg = ShardConfig::from_env(wid as u32)?;
-                    run_shard_observed(spec, store, faults, &cfg, hooks)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(SimError::MemoIo {
-                        op: "serve_worker",
-                        detail: "campaign worker thread panicked".into(),
-                    })
-                })
-            })
-            .collect()
-    });
-    for summary in summaries {
-        let summary = summary?;
-        campaign.absorb(&summary);
-        daemon.telemetry.counter("serve_cells_simulated_total").add(summary.completed);
-        daemon.telemetry.counter("serve_cells_memo_total").add(summary.memo_served);
-    }
-
-    // Reconcile phase, with the same hooks so late cells still stream
-    // and stay interlocked against concurrent campaigns. Failed
-    // verdicts in our own outcome map are trustworthy (they exhausted
-    // this process's retry budget), so they count as resolved. Memo
-    // hits are deliberately NOT folded in here: every cell the worker
-    // phase already resolved re-probes as a memo hit on every pass, so
-    // counting them would inflate `memo_served` by up to `total` per
-    // pass — only simulation work and takeovers are new information.
-    let cfg = ShardConfig::from_env(campaign.workers as u32)?;
+    std::fs::create_dir_all(runner.lease_dir())
+        .map_err(|e| SimError::MemoIo { op: "lease", detail: e.to_string() })?;
     let mut passes = 0u32;
     loop {
-        passes += 1;
-        let summary = run_shard_observed(spec, store, faults, &cfg, &hooks)?;
-        {
-            let mut progress = campaign.lock();
-            progress.completed += summary.completed;
-            progress.takeovers += summary.takeovers;
-            progress.passes = passes;
-        }
-        daemon.telemetry.counter("serve_cells_simulated_total").add(summary.completed);
-        let unresolved = {
-            let progress = campaign.lock();
-            campaign.fps.iter().enumerate().any(|(index, &fp)| {
-                !matches!(progress.outcomes.get(&index), Some(CellOutcome::Failed { .. }))
-                    && !store.has_result(fp)
-            })
-        };
-        if !unresolved {
-            break;
+        let pending = campaign.pending(store);
+        if pending.is_empty() {
+            return Ok(());
         }
         if passes >= max_passes {
             return Err(SimError::MemoIo {
@@ -618,20 +574,34 @@ fn drive_campaign(
                 ),
             });
         }
-        std::thread::sleep(backoff_delay(passes));
+        if passes > 0 {
+            // Held cells free up as their holders publish or die.
+            std::thread::sleep(backoff_delay(passes));
+        }
+        passes += 1;
+        campaign.lock().passes = passes;
+        let runs = run_indexed(campaign.workers, pending.len(), |slot| {
+            let index = pending[slot];
+            let run = runner.run(index)?;
+            if let Some(outcome) = &run.outcome {
+                journal.record(index, outcome);
+                let counter = match outcome {
+                    CellOutcome::Failed { .. } => "serve_cells_failed_total",
+                    _ if run.simulated => "serve_cells_simulated_total",
+                    _ => "serve_cells_memo_total",
+                };
+                daemon.telemetry.counter(counter).inc();
+            }
+            let mut progress = campaign.lock();
+            progress.completed += u64::from(run.simulated);
+            progress.takeovers += run.takeovers;
+            if let Some(outcome) = run.outcome {
+                progress.outcomes.insert(index, outcome);
+            }
+            Ok::<_, SimError>(())
+        });
+        runs.into_iter().collect::<Result<(), _>>()?;
     }
-
-    // Publish the merged canonical journal (temp + fsync + rename +
-    // directory fsync, with the crash:merge hook), then backfill any
-    // outcome recovered from a previous incarnation's journals that no
-    // shard pass of ours re-observed.
-    let outcomes = merge_outcomes(read_worker_journals(store.root(), campaign.campaign));
-    write_merged_journal(store.root(), campaign.campaign, &outcomes, faults.map(Arc::as_ref))?;
-    let mut progress = campaign.lock();
-    for (index, outcome) in outcomes {
-        progress.outcomes.entry(index).or_insert(outcome);
-    }
-    Ok(())
 }
 
 /// Builds a `StreamCells` response: contiguous resolved cells from
@@ -688,6 +658,47 @@ mod tests {
         assert_eq!(CampaignStatus { error: back.error.clone(), ..status }, back);
         assert!(CampaignStatus::from_text("garbage-without-space").is_err());
         assert!(CampaignStatus::from_text("total x\n").is_err());
+    }
+
+    #[test]
+    fn exhausted_reconcile_budget_fails_the_campaign() {
+        let root =
+            std::env::temp_dir().join(format!("llbp-serve-unit-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(MemoStore::open(&root).expect("store opens"));
+        let spec = SweepSpec::new(
+            vec![crate::PredictorKind::Tsl64K],
+            vec![
+                llbp_trace::WorkloadSpec::named(llbp_trace::Workload::Http).with_branches(2_000),
+                llbp_trace::WorkloadSpec::named(llbp_trace::Workload::Kafka).with_branches(2_000),
+            ],
+            crate::SimConfig::default(),
+        );
+        let fps = grid_fingerprints(&spec, &store);
+        // A live holder (this very process) that never lets go of cell 1.
+        std::fs::create_dir_all(root.join("leases")).expect("lease dir");
+        let _held = crate::lease::Lease::try_claim(
+            &root.join("leases").join(format!("{}.lease", fps[1])),
+            Duration::from_secs(600),
+        )
+        .expect("io")
+        .expect("planted lease");
+        let daemon = ServeDaemon::bind("127.0.0.1:0", Arc::clone(&store), None).expect("binds");
+        let campaign = CampaignState {
+            campaign: campaign_fingerprint(&fps),
+            spec,
+            fps,
+            workers: 1,
+            progress: Mutex::default(),
+        };
+        run_campaign(&daemon.state, &campaign, 2);
+        let status = campaign.status();
+        assert!(status.finished);
+        assert_eq!(status.passes, 2);
+        assert_eq!((status.done, status.completed), (1, 1), "the free cell still completes");
+        let error = status.error.expect("budget exhaustion must fail the campaign");
+        assert!(error.contains("still unresolved after 2 reconcile passes"), "{error}");
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! Sweep-daemon integration tests: cross-campaign dedup, remote/local
-//! report parity, and restart resume — all against an in-process
-//! [`ServeDaemon`] on a loopback socket, which exercises the real wire
-//! protocol end to end. The process-level story (spawned `llbp_serve`,
-//! byte-identical stdout through `--server`, metrics scrape, injected
-//! network faults, clean shutdown) lives in `scripts/tier1.sh`.
+//! report parity, restart resume, dead-holder and lost-lease recovery,
+//! and journal exclusion against a local campaign — all against an
+//! in-process [`ServeDaemon`] on a loopback socket, which exercises the
+//! real wire protocol end to end. The process-level story (spawned
+//! `llbp_serve`, byte-identical stdout through `--server`, a daemon
+//! killed mid-cell by `crash:claim`, metrics scrape, injected network
+//! faults, clean shutdown) lives in `scripts/tier1.sh`.
 
-use llbp_sim::coord::grid_fingerprints;
+use llbp_sim::engine::grid_fingerprints;
 use llbp_sim::journal::{campaign_fingerprint, read_outcomes};
+use llbp_sim::lease::ProcessStamp;
 use llbp_sim::serve::client::{run_remote, run_remote_with, ServeClient};
 use llbp_sim::serve::{ServeDaemon, ServeHandle};
-use llbp_sim::{FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine, SweepSpec};
-use llbp_trace::{Workload, WorkloadSpec};
+use llbp_sim::{
+    CampaignJournal, CellOutcome, FaultInjector, MemoStore, PredictorKind, SimConfig, SweepEngine,
+    SweepSpec,
+};
+use llbp_trace::{Fingerprint, Workload, WorkloadSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -39,12 +46,30 @@ fn spec_for(workloads: &[Workload]) -> SweepSpec {
 /// all finished by the time the tests call it (they block on
 /// `run_remote`), so join-after-shutdown is prompt.
 fn start_daemon(root: &Path) -> (ServeHandle, String, std::thread::JoinHandle<()>) {
+    start_daemon_with(root, None)
+}
+
+/// [`start_daemon`] with a fault injector armed daemon-side.
+fn start_daemon_with(
+    root: &Path,
+    faults: Option<Arc<FaultInjector>>,
+) -> (ServeHandle, String, std::thread::JoinHandle<()>) {
     let store = Arc::new(MemoStore::open(root).expect("store opens"));
-    let daemon = ServeDaemon::bind("127.0.0.1:0", store, None).expect("daemon binds");
+    let daemon = ServeDaemon::bind("127.0.0.1:0", store, faults).expect("daemon binds");
     let addr = format!("tcp://{}", daemon.local_addr());
     let handle = daemon.handle();
     let join = std::thread::spawn(move || daemon.run());
     (handle, addr, join)
+}
+
+/// The same grid run by a plain local engine on a fresh root.
+fn local_run(tag: &str, spec: &SweepSpec) -> llbp_sim::SweepReport {
+    let root = scratch_dir(tag);
+    let report = SweepEngine::with_workers(1)
+        .with_store(Arc::new(MemoStore::open(&root).expect("local store")))
+        .run(spec);
+    let _ = std::fs::remove_dir_all(root);
+    report
 }
 
 fn published_cells(root: &Path) -> usize {
@@ -61,7 +86,7 @@ fn concurrent_overlapping_campaigns_compute_shared_cells_exactly_once() {
     let (handle, addr, join) = start_daemon(&root);
 
     // Two 2x2 grids sharing the Kafka column: 8 submitted cells, 6
-    // distinct. The daemon-global interlock plus the memo probe must
+    // distinct. Fingerprint-keyed cell leases plus the memo probe must
     // make the 2 shared cells simulate once and memo-serve the other
     // campaign, whichever gets there first.
     let spec_a = spec_for(&[Workload::Http, Workload::Kafka]);
@@ -221,4 +246,119 @@ fn daemon_restart_resumes_from_journals_and_published_cells() {
 
     handle.shutdown();
     join.join().expect("second daemon thread");
+}
+
+#[test]
+fn crashed_daemons_cell_lease_is_stolen_and_results_match_a_local_run() {
+    let root = scratch_dir("crashed");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+
+    // A daemon killed mid-cell: cell 0's lease is held by a process
+    // stamp that can never be alive (our PID, perturbed start time — the
+    // PID-reuse shape), with a deadline far in the future. Only
+    // dead-holder takeover can free it.
+    let fps = grid_fingerprints(&spec, &MemoStore::open(&root).expect("store opens"));
+    let dead = ProcessStamp {
+        pid: std::process::id(),
+        start_time: Some(ProcessStamp::current().start_time.unwrap_or(7) + 1),
+    };
+    let far_deadline =
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_millis()
+            as u64
+            + 600_000;
+    std::fs::create_dir_all(root.join("leases")).expect("lease dir");
+    std::fs::write(
+        root.join("leases").join(format!("{}.lease", fps[0])),
+        format!("{} {far_deadline}\n", dead.to_line()),
+    )
+    .expect("plant the dead incarnation's lease");
+
+    let (handle, addr, join) = start_daemon(&root);
+    let remote = run_remote(&addr, &spec).expect("campaign recovers");
+    assert!(remote.lock_takeovers >= 1, "the dead incarnation's lease must be stolen");
+    assert!(remote.failed.is_empty(), "failures: {:?}", remote.failed);
+    assert_eq!(remote.memo_misses, 4);
+
+    // Chaos parity at the results level: the recovered campaign equals a
+    // plain local engine run on a fresh root.
+    let local = local_run("crashed-local", &spec);
+    for (index, (r, l)) in remote.jobs.iter().zip(&local.jobs).enumerate() {
+        assert_eq!(r.result, l.result, "cell {index} must be bit-identical to the local run");
+    }
+    handle.shutdown();
+    join.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn injected_lease_expiry_discards_the_result_and_reconcile_converges() {
+    let root = scratch_dir("expiry");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+    let faults = Arc::new(FaultInjector::parse("lease:expire:count=1").expect("spec parses"));
+
+    // The armed rule fires on the first pre-publish check: that result
+    // is discarded (nobody journals or publishes it). The reconcile pass
+    // re-claims and re-runs the lost cell; with the rule exhausted the
+    // campaign converges to a full grid.
+    let (handle, addr, join) = start_daemon_with(&root, Some(faults));
+    let remote = run_remote(&addr, &spec).expect("campaign converges");
+    assert!(remote.failed.is_empty(), "failures: {:?}", remote.failed);
+    assert_eq!(remote.memo_misses, 4, "the discarded copy is not counted, its re-run is");
+    assert_eq!(published_cells(&root), 4);
+    let ticket = campaign_fingerprint(&grid_fingerprints(&spec, &MemoStore::open(&root).unwrap()));
+    let status = ServeClient::connect(&addr).expect("client").poll(ticket).expect("polls");
+    assert!(status.passes >= 2, "the lost cell needed a reconcile pass: {status:?}");
+
+    let local = local_run("expiry-local", &spec);
+    for (index, (r, l)) in remote.jobs.iter().zip(&local.jobs).enumerate() {
+        assert_eq!(r.result, l.result, "cell {index} must be bit-identical to the local run");
+    }
+    handle.shutdown();
+    join.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn daemon_campaign_contends_with_a_held_journal_instead_of_renaming_over_it() {
+    let root = scratch_dir("held-journal");
+    let spec = spec_for(&[Workload::Http, Workload::Kafka]);
+    let campaign =
+        campaign_fingerprint(&grid_fingerprints(&spec, &MemoStore::open(&root).unwrap()));
+
+    // A local campaign of the same grid on the daemon's root, mid-run:
+    // it holds the journal and has appended one entry.
+    let held = CampaignJournal::open_with_wait(&root, campaign, false, Duration::from_millis(10))
+        .expect("the local campaign holds the journal");
+    held.record_failed(0, "timeout");
+    #[cfg(unix)]
+    let inode = {
+        use std::os::unix::fs::MetadataExt as _;
+        std::fs::metadata(held.path()).expect("journal exists").ino()
+    };
+
+    let (handle, addr, join) = start_daemon(&root);
+    let err = run_remote(&addr, &spec).expect_err("the daemon must not take a held journal");
+    assert!(err.to_string().contains("is locked by live process"), "names the contention: {err}");
+
+    // The local campaign keeps appending to the same file, and nothing
+    // it wrote is lost.
+    held.record_ok(1, Fingerprint(0x42), None);
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt as _;
+        let now = std::fs::metadata(held.path()).expect("journal still exists").ino();
+        assert_eq!(now, inode, "the journal was replaced under its holder");
+    }
+    let outcomes = read_outcomes(held.path());
+    assert_eq!(outcomes.len(), 2, "every line the holder wrote survives: {outcomes:?}");
+    assert_eq!(outcomes[&0], CellOutcome::Failed { class: "timeout".into() });
+    assert_eq!(outcomes[&1], CellOutcome::Ok { fingerprint: Fingerprint(0x42), digest: None });
+
+    // Once the local campaign finishes, resubmitting re-runs the grid.
+    drop(held);
+    let report = run_remote(&addr, &spec).expect("the grid runs once the journal is free");
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    handle.shutdown();
+    join.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(root);
 }

@@ -161,41 +161,62 @@ cmp -s "$TEL_DIR/observed-cold.out" "$TEL_DIR/plain-cold.out" || {
     exit 1
 }
 
-echo "== distributed chaos smoke =="
-# A 2-worker distributed campaign against a shared llbp_store — with one
-# injected network disconnect AND one worker killed mid-claim — must
-# recover via lease takeover and print stdout byte-identical to a plain
-# single-process run of the same grid.
+echo "== serve crash-recovery smoke =="
+# A daemon killed right after claiming a cell lease (crash:claim) must
+# fail its client with the network exit (4). A daemon restarted on the
+# same root must take over the dead incarnation's leases and, under one
+# injected client disconnect, print stdout byte-identical to a plain
+# local run of the same grid.
 DIST_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR"' EXIT
 LLBP_CACHE_DIR="$DIST_DIR/serial" ./target/release/fig02_mpki_limits --quick \
     --workloads HTTP,Kafka,Tomcat > "$DIST_DIR/serial.out" 2> /dev/null
-./target/release/llbp_store --root "$DIST_DIR/shared" --print-addr \
-    > "$DIST_DIR/store.addr" 2> "$DIST_DIR/store.err" &
-STORE_PID=$!
-for _ in $(seq 50); do [ -s "$DIST_DIR/store.addr" ] && break; sleep 0.1; done
-[ -s "$DIST_DIR/store.addr" ] || {
-    echo "distributed smoke: llbp_store never printed its address:"
-    cat "$DIST_DIR/store.err"; kill "$STORE_PID" 2>/dev/null || true; exit 1
+# Starts llbp_serve on the shared root in the background (extra env in
+# "$@"), waiting for its address in $DIST_DIR/$1.addr.
+start_serve() {
+    local tag="$1"; shift
+    env "$@" ./target/release/llbp_serve --root "$DIST_DIR/shared" --print-addr \
+        > "$DIST_DIR/$tag.addr" 2> "$DIST_DIR/$tag.err" &
+    SERVE_PID=$!
+    for _ in $(seq 50); do [ -s "$DIST_DIR/$tag.addr" ] && return 0; sleep 0.1; done
+    echo "crash-recovery smoke: llbp_serve ($tag) never printed its address:"
+    cat "$DIST_DIR/$tag.err"; kill "$SERVE_PID" 2>/dev/null || true; exit 1
 }
-DIST_STATUS=0
-LLBP_CACHE_DIR="$DIST_DIR/dist" LLBP_STORE="tcp://$(cat "$DIST_DIR/store.addr")" \
-    LLBP_FAULT_SPEC="net:disconnect:count=1" LLBP_WORKER_ABORT="1:1" \
-    ./target/release/llbp_coord --workers 2 --quick --workloads HTTP,Kafka,Tomcat \
-    > "$DIST_DIR/dist.out" 2> "$DIST_DIR/dist.err" || DIST_STATUS=$?
-kill "$STORE_PID" 2>/dev/null || true
-wait "$STORE_PID" 2>/dev/null || true
-[ "$DIST_STATUS" -eq 0 ] || {
-    echo "distributed smoke: coordinator exited $DIST_STATUS:"; cat "$DIST_DIR/dist.err"; exit 1
+start_serve crashing LLBP_FAULT_SPEC=crash:claim
+CLIENT_STATUS=0
+LLBP_CACHE_DIR="$DIST_DIR/client" ./target/release/fig02_mpki_limits --quick \
+    --workloads HTTP,Kafka,Tomcat --server "tcp://$(cat "$DIST_DIR/crashing.addr")" \
+    > /dev/null 2> "$DIST_DIR/crashed-client.err" || CLIENT_STATUS=$?
+DAEMON_STATUS=0
+wait "$SERVE_PID" || DAEMON_STATUS=$?
+[ "$DAEMON_STATUS" -ne 0 ] || {
+    echo "crash-recovery smoke: crash:claim did not abort the daemon:"
+    cat "$DIST_DIR/crashing.err"; exit 1
 }
-cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/dist.out" || {
-    echo "distributed smoke: distributed stdout diverged from the serial run:"
-    diff "$DIST_DIR/serial.out" "$DIST_DIR/dist.out" || true
+[ "$CLIENT_STATUS" -eq 4 ] || {
+    echo "crash-recovery smoke: client of the crashed daemon exited $CLIENT_STATUS (want 4):"
+    cat "$DIST_DIR/crashed-client.err"; exit 1
+}
+start_serve restarted
+RERUN_STATUS=0
+LLBP_CACHE_DIR="$DIST_DIR/client" LLBP_FAULT_SPEC="net:disconnect:count=1" \
+    ./target/release/fig02_mpki_limits --quick --workloads HTTP,Kafka,Tomcat \
+    --server "tcp://$(cat "$DIST_DIR/restarted.addr")" \
+    > "$DIST_DIR/rerun.out" 2> "$DIST_DIR/rerun.err" || RERUN_STATUS=$?
+kill "$SERVE_PID" 2>/dev/null || true
+wait "$SERVE_PID" 2>/dev/null || true
+[ "$RERUN_STATUS" -eq 0 ] || {
+    echo "crash-recovery smoke: rerun on the restarted daemon exited $RERUN_STATUS:"
+    cat "$DIST_DIR/rerun.err" "$DIST_DIR/restarted.err"; exit 1
+}
+cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/rerun.out" || {
+    echo "crash-recovery smoke: recovered stdout diverged from the local run:"
+    diff "$DIST_DIR/serial.out" "$DIST_DIR/rerun.out" || true
     exit 1
 }
-grep -Eq '"lease_takeovers":[1-9]' "$DIST_DIR/dist.err" || {
-    echo "distributed smoke: killed worker's lease was never taken over:"
-    cat "$DIST_DIR/dist.err"; exit 1
+grep -Eq '"lock_takeovers":[1-9]' "$DIST_DIR/rerun.err" || {
+    echo "crash-recovery smoke: the crashed daemon's leases were never taken over:"
+    cat "$DIST_DIR/rerun.err"; exit 1
 }
 
 echo "== remote-store degradation smoke =="
@@ -214,47 +235,12 @@ cmp -s "$DIST_DIR/serial.out" "$DIST_DIR/degraded.out" || {
     exit 1
 }
 
-echo "== merge-crash durability smoke =="
-# crash:merge aborts the coordinator between the merged journal's
-# temp-file fsync and its rename — the exact window the
-# write-temp/fsync/rename/dir-fsync recipe protects. Recovery must find
-# no (or an old) merged journal, never a torn one, and a fault-free
-# rerun must complete the campaign byte-identically.
-CRASH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR"' EXIT
-set +e
-LLBP_CACHE_DIR="$CRASH_DIR" LLBP_FAULT_SPEC="crash:merge" \
-    ./target/release/llbp_coord --workers 2 --quick --workloads HTTP,Kafka \
-    > /dev/null 2> "$CRASH_DIR/crash.err"
-CRASH_STATUS=$?
-set -e
-[ "$CRASH_STATUS" -ne 0 ] || {
-    echo "crash smoke: crash:merge did not abort the coordinator:"
-    cat "$CRASH_DIR/crash.err"; exit 1
-}
-MERGED="$(ls "$CRASH_DIR"/*.journal 2>/dev/null | grep -v '\.w[0-9]*\.journal' || true)"
-[ -z "$MERGED" ] || {
-    echo "crash smoke: merged journal published despite the pre-rename abort:"
-    ls -l "$CRASH_DIR"; exit 1
-}
-LLBP_CACHE_DIR="$CRASH_DIR/serial" ./target/release/fig02_mpki_limits --quick \
-    --workloads HTTP,Kafka > "$CRASH_DIR/serial.out" 2> /dev/null
-LLBP_CACHE_DIR="$CRASH_DIR" ./target/release/llbp_coord --workers 2 --quick \
-    --workloads HTTP,Kafka > "$CRASH_DIR/rerun.out" 2> "$CRASH_DIR/rerun.err" || {
-    echo "crash smoke: post-crash rerun failed:"; cat "$CRASH_DIR/rerun.err"; exit 1
-}
-cmp -s "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || {
-    echo "crash smoke: post-crash rerun changed the figure output:"
-    diff "$CRASH_DIR/serial.out" "$CRASH_DIR/rerun.out" || true
-    exit 1
-}
-
 echo "== serve daemon smoke =="
 # A sweep routed through the resident daemon with --server — under one
 # injected client-side disconnect — must print stdout byte-identical to
 # a local run, expose live Prometheus metrics, and shut down cleanly.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$SERVE_DIR"' EXIT
 LLBP_CACHE_DIR="$SERVE_DIR/local" ./target/release/fig02_mpki_limits --quick \
     > "$SERVE_DIR/local.out" 2> /dev/null
 ./target/release/llbp_serve --root "$SERVE_DIR/shared" --print-addr \
@@ -306,7 +292,7 @@ echo "== provenance smoke =="
 # mispredicting branches on every invocation, and the recorder costs
 # <3% wall time (min of 3 cold runs per configuration).
 PROV_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$CRASH_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$FAULT_DIR" "$RACE_DIR" "$VERIFY_DIR" "$TEL_DIR" "$DIST_DIR" "$SERVE_DIR" "$PROV_DIR"' EXIT
 for i in 1 2 3; do
     LLBP_CACHE_DIR="$PROV_DIR/off$i" ./target/release/fig02_mpki_limits --quick --strict \
         > "$PROV_DIR/off$i.out" 2> "$PROV_DIR/off$i.err"
