@@ -366,51 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_text_roundtrips_and_merges_order_insensitively() {
-        let a = Telemetry::enabled();
-        a.counter("memo_hits").add(12);
-        a.gauge("workers").set(4);
-        a.histogram("cell_wall_us").record(0);
-        a.histogram("cell_wall_us").record(900);
-        a.histogram("cell_wall_us").record(u64::MAX);
-        let snap = a.metrics();
-        let back = MetricsSnapshot::from_text(&snap.to_text()).expect("roundtrip parses");
-        assert_eq!(back, snap);
-
-        // Shipping shards as text then merging in any order is the
-        // distributed-campaign contract.
-        let b = Telemetry::enabled();
-        b.counter("memo_hits").add(5);
-        b.histogram("cell_wall_us").record(17);
-        let (ta, tb) = (snap.to_text(), b.metrics().to_text());
-        let mut ab = MetricsSnapshot::from_text(&ta).unwrap();
-        ab.merge(&MetricsSnapshot::from_text(&tb).unwrap());
-        let mut ba = MetricsSnapshot::from_text(&tb).unwrap();
-        ba.merge(&MetricsSnapshot::from_text(&ta).unwrap());
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counters["memo_hits"], 17);
-        assert_eq!(ab.histograms["cell_wall_us"].count(), 4);
-    }
-
-    #[test]
-    fn snapshot_text_rejects_torn_and_malformed_lines() {
-        assert!(MetricsSnapshot::from_text("").unwrap().is_empty());
-        assert!(MetricsSnapshot::from_text("\n\n").unwrap().is_empty());
-        for bad in [
-            "counter jobs",         // missing value
-            "counter jobs twelve",  // non-numeric
-            "counter jobs 1 extra", // trailing tokens
-            "gauge g",              // missing value
-            "hist h 5",             // missing max
-            "hist h 5 9 nocolon",   // malformed bucket
-            "hist h 5 9 99:1",      // bucket index out of range
-            "temperature room 20",  // unknown kind
-        ] {
-            assert!(MetricsSnapshot::from_text(bad).is_err(), "must reject `{bad}`");
-        }
-    }
-
-    #[test]
     fn disabled_handle_is_inert() {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());

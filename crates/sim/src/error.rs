@@ -86,7 +86,7 @@ pub enum SimError {
         /// Underlying error text.
         detail: String,
     },
-    /// A shard worker's lease on a grid cell expired (or was stolen, or
+    /// A daemon worker's lease on a grid cell expired (or was stolen, or
     /// an injected `lease:expire` fault fired) before the worker could
     /// record the cell's completion. The cell's ownership is gone; the
     /// worker abandons it and the current owner (or a later pass)

@@ -40,7 +40,11 @@
 //! confirms the file still carries its exact stamp line before
 //! publishing ([`Lease::check`]), so the loser of any residual race —
 //! including a sibling thread of the same process that stole an expired
-//! lease — discards its work instead of double-publishing.
+//! lease — discards its work instead of double-publishing. A journal
+//! lease has no such check; what it cannot exclude is two claimants that
+//! both judged the same dead holder stale, where one's unlink races the
+//! other's fresh link — a window a few instructions wide, which the lock
+//! file journal leases replaced had too.
 //!
 //! # Fault injection
 //!
@@ -348,32 +352,29 @@ fn claim_once(path: &Path, ttl: Duration) -> Result<Claim, SimError> {
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     write_synced(&tmp, &line).map_err(io_err)?;
-    let outcome = link_claim(&tmp, path);
+    let claim = link_claim(&tmp, path, line);
     let _ = remove_ignoring_missing(&tmp);
-    // The `Lease` exists only once the claim is won: a losing claimant
-    // must never hold one, or its release-on-drop would delete the
-    // winner's lease.
-    let (won, holder, takeovers) = outcome?;
-    Ok(if won {
-        Claim::Won(Lease { path: path.to_path_buf(), line, takeovers, waited: Duration::ZERO })
-    } else {
-        Claim::Held { holder, takeovers }
-    })
+    claim
 }
 
-/// Links `tmp` to `path`: `(true, _, stolen)` when claimed,
-/// `(false, holder, stolen)` when a live holder owns it.
-fn link_claim(tmp: &Path, path: &Path) -> Result<(bool, Option<ProcessStamp>, u64), SimError> {
+/// Links the stamped `tmp` file to `path`, stealing stale claims. The
+/// `Lease` exists only once the claim is won: a losing claimant must
+/// never hold one, or its release-on-drop would delete the winner's
+/// lease.
+fn link_claim(tmp: &Path, path: &Path, line: String) -> Result<Claim, SimError> {
     let mut takeovers = 0u64;
     // Bounded: each iteration either claims, backs off, or removes a
     // stale file; a stealing race loses at most one iteration.
     for _ in 0..4 {
         match std::fs::hard_link(tmp, path) {
-            Ok(()) => return Ok((true, None, takeovers)),
+            Ok(()) => {
+                let path = path.to_path_buf();
+                return Ok(Claim::Won(Lease { path, line, takeovers, waited: Duration::ZERO }));
+            }
             Err(e) if e.kind() == ErrorKind::AlreadyExists => {
                 match std::fs::read_to_string(path) {
                     Ok(text) => match live_holder(&text) {
-                        Some(live) => return Ok((false, Some(live), takeovers)),
+                        Some(live) => return Ok(Claim::Held { holder: Some(live), takeovers }),
                         // Stale (dead, expired, or torn): steal. A racing
                         // stealer may have unlinked first — that is fine.
                         None => {
@@ -390,7 +391,7 @@ fn link_claim(tmp: &Path, path: &Path) -> Result<(bool, Option<ProcessStamp>, u6
         }
     }
     // Lost every race in the loop: someone live holds it now.
-    Ok((false, None, takeovers))
+    Ok(Claim::Held { holder: None, takeovers })
 }
 
 /// Writes `text` to a fresh file at `path`, synced before return, so

@@ -37,12 +37,12 @@ pub use cache::TraceCache;
 pub use config::{PredictorKind, SimConfig};
 pub use driver::{LlbpCellStats, SimResult, SIM_BLOCK};
 pub use energy::EnergyModel;
-pub use engine::{grid_fingerprints, JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
+pub use engine::{JobError, ProvSummary, SweepEngine, SweepReport, SweepSpec};
 pub use error::{CancelToken, SimError};
 pub use faultinject::{FaultInjector, FAULT_SPEC_ENV};
 pub use journal::{campaign_fingerprint, CampaignJournal, CellOutcome, LOCK_WAIT_ENV};
 pub use l1i::L1iCache;
-pub use lease::{lease_ttl_from_env, Lease, ProcessStamp, LEASE_TTL_ENV};
+pub use lease::{lease_ttl_from_env, Lease, LEASE_TTL_ENV};
 pub use memo::{CachedCell, MemoStore, MEMO_FORMAT_VERSION};
 pub use store::{ObjectKind, StorageBackend, STORE_ENV};
 pub use timing::TimingModel;

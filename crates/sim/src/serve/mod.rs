@@ -12,7 +12,7 @@
 //!   [`CampaignJournal`], opened in resume mode, among its worker
 //!   threads. The threads take cells from one queue; each cell is
 //!   claimed through its fingerprint-keyed lease before it is probed,
-//!   simulated and published ([`shard`]). A reconcile loop re-runs
+//!   simulated and published ([`cell`]). A reconcile loop re-runs
 //!   whatever a pass left unresolved under `LLBP_SERVE_MAX_PASSES`.
 //! * Because cell leases are keyed by fingerprint, a cell two in-flight
 //!   campaigns share has one lease: the later campaign skips it and
@@ -33,8 +33,8 @@
 //! *same* ticket (the campaign fingerprint is content-addressed), so
 //! whole-campaign dedup is free and poll/stream are idempotent reads.
 
+mod cell;
 pub mod client;
-mod shard;
 pub mod wire;
 
 use crate::cache::TraceCache;
@@ -45,9 +45,9 @@ use crate::journal::{campaign_fingerprint, CampaignJournal, CellOutcome};
 use crate::lease::lease_ttl_from_env;
 use crate::memo::MemoStore;
 use crate::store::proto::{self, Op, Request, Response};
+use cell::CellRunner;
 use llbp_obs::Telemetry;
 use llbp_trace::fingerprint::Fingerprint;
-use shard::CellRunner;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
