@@ -188,6 +188,7 @@ LLBP_CACHE_DIR="$DIST_DIR/client" ./target/release/fig02_mpki_limits --quick \
     --workloads HTTP,Kafka,Tomcat --server "tcp://$(cat "$DIST_DIR/crashing.addr")" \
     > /dev/null 2> "$DIST_DIR/crashed-client.err" || CLIENT_STATUS=$?
 DAEMON_STATUS=0
+# The shell reports this daemon's abort ("Aborted"); that line is expected.
 wait "$SERVE_PID" || DAEMON_STATUS=$?
 [ "$DAEMON_STATUS" -ne 0 ] || {
     echo "crash-recovery smoke: crash:claim did not abort the daemon:"
