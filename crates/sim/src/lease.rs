@@ -43,8 +43,8 @@
 //! lease — discards its work instead of double-publishing. A journal
 //! lease has no such check; what it cannot exclude is two claimants that
 //! both judged the same dead holder stale, where one's unlink races the
-//! other's fresh link — a window a few instructions wide, which the lock
-//! file journal leases replaced had too.
+//! other's fresh link — a window a few instructions wide, accepted to
+//! stay std-only.
 //!
 //! # Fault injection
 //!
