@@ -16,6 +16,9 @@ use bputil::history::{FoldedHistory, HistoryBuffer};
 const TAGE_VOTE: i32 = 16;
 /// Width of the component counters.
 const CTR_BITS: u32 = 6;
+/// Saturation bounds of a `CTR_BITS`-wide signed counter.
+const CTR_MAX: i8 = (1 << (CTR_BITS - 1)) - 1;
+const CTR_MIN: i8 = -CTR_MAX - 1;
 
 /// Per-lookup SC state, consumed at update time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +40,12 @@ const MAX_COMPONENTS: usize = 16;
 #[derive(Debug, Clone)]
 pub struct StatisticalCorrector {
     /// One table per component: `components[0]` is the bias table indexed
-    /// by PC and TAGE direction; the rest are GEHL tables.
-    tables: Vec<Vec<SatCounter>>,
+    /// by PC and TAGE direction; the rest are GEHL tables. Counters are
+    /// stored as bare `i8` values in `[CTR_MIN, CTR_MAX]` rather than as
+    /// [`SatCounter`]s, which carry their bounds: at `Inf TSL`'s 2M
+    /// entries per component that is 16 MiB instead of 96 MiB per
+    /// predictor, with the same saturating arithmetic.
+    tables: Vec<Vec<i8>>,
     folded: Vec<Option<FoldedHistory>>,
     index_bits: u32,
     /// Adaptive confidence threshold (O-GEHL style).
@@ -60,10 +67,10 @@ impl StatisticalCorrector {
         assert!(!history_lengths.is_empty(), "SC needs at least one component");
         assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
         let entries = 1usize << index_bits;
-        let mut tables = vec![vec![SatCounter::new_signed(CTR_BITS); entries]]; // bias
+        let mut tables = vec![vec![0i8; entries]]; // bias
         let mut folded = vec![None]; // bias has no history
         for &l in history_lengths {
-            tables.push(vec![SatCounter::new_signed(CTR_BITS); entries]);
+            tables.push(vec![0i8; entries]);
             folded.push((l > 0).then(|| FoldedHistory::new(l, index_bits)));
         }
         Self {
@@ -108,7 +115,7 @@ impl StatisticalCorrector {
         for (c, (slot, table)) in indices.iter_mut().zip(&self.tables).enumerate() {
             let i = self.component_index(c, pc, tage_pred);
             *slot = i;
-            sum += 2 * i32::from(table[i as usize].value()) + 1;
+            sum += 2 * i32::from(table[i as usize]) + 1;
         }
         ScLookup {
             sum,
@@ -135,8 +142,10 @@ impl StatisticalCorrector {
     pub fn train(&mut self, lookup: &ScLookup, taken: bool) {
         let correct = lookup.pred == taken;
         if !correct || lookup.sum.abs() <= self.threshold {
+            let step = i8::from(taken) * 2 - 1;
             for c in 0..lookup.num_components {
-                self.tables[c][lookup.indices[c] as usize].update(taken);
+                let ctr = &mut self.tables[c][lookup.indices[c] as usize];
+                *ctr = (*ctr + step).clamp(CTR_MIN, CTR_MAX);
             }
         }
         // Threshold adaptation, smoothed through `tc`.
@@ -245,6 +254,29 @@ mod tests {
             s.train(&l, taken);
             s.update_history(&ghr, taken);
             assert!((4..=127).contains(&s.threshold()));
+        }
+    }
+
+    /// The compact counters saturate exactly where a 6-bit
+    /// [`SatCounter`] does, in both directions.
+    #[test]
+    fn counters_saturate_at_six_bits() {
+        let mut s = StatisticalCorrector::new(4, &[0]);
+        // A threshold above any reachable sum makes every step a
+        // low-confidence one that trains, so the counters run into their
+        // bounds.
+        for (taken, bound) in [(true, CTR_MAX), (false, CTR_MIN)] {
+            let mut reference = SatCounter::new_signed(CTR_BITS);
+            for _ in 0..100 {
+                let l = s.lookup(0x40, true);
+                s.threshold = 1_000;
+                s.train(&l, taken);
+                reference.update(taken);
+            }
+            assert_eq!(i16::from(bound), reference.value());
+            let l = s.lookup(0x40, true);
+            let components = i32::from(bound) * 2 + 1;
+            assert_eq!(l.sum, TAGE_VOTE + 2 * components);
         }
     }
 
