@@ -1,16 +1,19 @@
 //! Microbenchmarks of the predictor building blocks: folded history
-//! maintenance, pattern-set matching/allocation, RCR hashing, and table
-//! lookups. These quantify the per-branch cost of each hardware
+//! maintenance, TAGE lookup, pattern-set matching/allocation, RCR hashing,
+//! and table lookups. These quantify the per-branch cost of each hardware
 //! structure's software model.
 //!
 //! Uses a std-only timing harness (no external bench framework) so the
 //! workspace builds hermetically; run with `cargo bench --bench components`.
 
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::history::{FoldBank, FoldedHistory, HistoryBuffer};
 use bputil::rng::SplitMix64;
 use bputil::table::SetAssoc;
 use llbp_core::rcr::RollingContextRegister;
 use llbp_core::{ContextHistoryKind, PatternSet};
+use llbp_tage::tage::UpdateMode;
+use llbp_tage::{Tage, TageConfig};
+use llbp_trace::{BranchKind, Workload, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -42,6 +45,48 @@ fn bench_folded_history() {
         }
         ghr.push(bit);
         black_box(folds[20].value());
+    });
+}
+
+/// One op advances every distinct register of the 64K TAGE (47 shapes
+/// from 21 tables x 3 folds) by one history bit.
+fn bench_fold_bank() {
+    let cfg = TageConfig::cbp64k();
+    let mut ghr = HistoryBuffer::new(cfg.max_history() + 64);
+    let mut bank = FoldBank::new();
+    for (&l, &t) in cfg.history_lengths.iter().zip(&cfg.tag_bits) {
+        bank.register(l, cfg.index_bits);
+        bank.register(l, t);
+        bank.register(l, (t - 1).max(1));
+    }
+    let last = bank.len() - 1;
+    let mut rng = SplitMix64::new(6);
+    bench("fold_bank_update", || {
+        let bit = rng.chance(1, 2);
+        bank.update(&ghr, bit);
+        ghr.push(bit);
+        black_box(bank.value(last));
+    });
+}
+
+/// One op is a 64K TAGE lookup (21 index and tag hashes, the table scan)
+/// for a conditional branch of a trace the predictor was trained on.
+fn bench_tage_lookup() {
+    let trace = WorkloadSpec::named(Workload::Http).with_branches(50_000).generate();
+    let mut tage = Tage::new(TageConfig::cbp64k());
+    for r in &trace {
+        if r.kind() == BranchKind::Conditional {
+            let l = tage.lookup(r.pc());
+            tage.commit(&l, r.taken(), UpdateMode::Full);
+        }
+        tage.update_history(r);
+    }
+    let pcs: Vec<u64> =
+        trace.iter().filter(|r| r.kind() == BranchKind::Conditional).map(|r| r.pc()).collect();
+    let mut i = 0;
+    bench("tage_lookup", || {
+        i = (i + 1) % pcs.len();
+        black_box(tage.lookup(black_box(pcs[i])).pred);
     });
 }
 
@@ -91,6 +136,8 @@ fn bench_set_assoc() {
 
 fn main() {
     bench_folded_history();
+    bench_fold_bank();
+    bench_tage_lookup();
     bench_pattern_set();
     bench_rcr();
     bench_set_assoc();

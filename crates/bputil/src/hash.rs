@@ -112,6 +112,7 @@ pub type FastHashSet<T> = HashSet<T, FastBuildHasher>;
 /// use bputil::hash::mix64;
 /// assert_ne!(mix64(1), mix64(2));
 /// ```
+#[inline]
 #[must_use]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -127,19 +128,25 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Unlike simple truncation this preserves entropy from the high bits,
 /// which matters when hashing shifted PCs (LLBP's context-ID hash).
 ///
+/// The limbs are combined as a tree: XOR-ing `x` with itself shifted by
+/// 1, 2, 4, ... limbs leaves in limb 0 the XOR of the first 2, 4, 8, ...
+/// limbs. The loop runs `ceil(log2(64 / bits))` times whatever `x` holds,
+/// so its exit branch is predictable on the per-branch hash path, and a
+/// 10-bit fold takes three steps instead of seven.
+///
 /// # Panics
 ///
 /// Panics if `bits` is zero or greater than 63.
+#[inline]
 #[must_use]
 pub fn fold_to_bits(mut x: u64, bits: u32) -> u64 {
     assert!((1..=63).contains(&bits), "fold width out of range: {bits}");
-    let m = (1u64 << bits) - 1;
-    let mut acc = 0u64;
-    while x != 0 {
-        acc ^= x & m;
-        x >>= bits;
+    let mut shift = bits;
+    while shift < u64::BITS {
+        x ^= x >> shift;
+        shift <<= 1;
     }
-    acc
+    x & ((1u64 << bits) - 1)
 }
 
 /// Combines a PC with folded index history and path history in the style of
@@ -192,6 +199,7 @@ impl IndexCtx {
 
 /// Combines a PC with two folded tag histories in the style of TAGE's tag
 /// hash (`gtag`).
+#[inline]
 #[must_use]
 pub fn tage_tag(pc: u64, folded_tag0: u32, folded_tag1: u32, tag_bits: u32) -> u32 {
     let mixed = pc ^ u64::from(folded_tag0) ^ (u64::from(folded_tag1) << 1);
@@ -216,6 +224,32 @@ mod tests {
         for bits in 1..=20 {
             let v = fold_to_bits(u64::MAX, bits);
             assert!(v < (1 << bits));
+        }
+    }
+
+    #[test]
+    fn fold_to_bits_matches_the_data_dependent_limb_loop() {
+        // The tree fold must equal the original limb loop, which stopped
+        // as soon as the remaining value was zero.
+        let limb_loop = |mut x: u64, bits: u32| {
+            let m = (1u64 << bits) - 1;
+            let mut acc = 0u64;
+            while x != 0 {
+                acc ^= x & m;
+                x >>= bits;
+            }
+            acc
+        };
+        let mut rng = crate::rng::SplitMix64::new(0xF01D);
+        for bits in 1..=63 {
+            for x in [0, 1, u64::MAX, 1 << 63, (1 << bits) - 1, 1 << bits] {
+                assert_eq!(fold_to_bits(x, bits), limb_loop(x, bits), "x={x:#x} bits={bits}");
+            }
+            for _ in 0..200 {
+                // Vary the magnitude so short values (few limbs) are covered.
+                let x = rng.next_u64() >> rng.below(64);
+                assert_eq!(fold_to_bits(x, bits), limb_loop(x, bits), "x={x:#x} bits={bits}");
+            }
         }
     }
 

@@ -5,8 +5,10 @@
 //! be infeasible in hardware, so TAGE maintains *folded* histories: for each
 //! (original length, compressed length) pair, a circular CRC-like register
 //! that is updated in O(1) when a new outcome is shifted into the history
-//! ([Michaud'05], [Seznec'16]). [`FoldedHistory`] reproduces that scheme and
-//! is property-tested against folding the full history from scratch.
+//! ([Michaud'05], [Seznec'16]). [`FoldedHistory`] reproduces that scheme
+//! for one register; [`FoldBank`] advances many registers over one history
+//! in a single pass and is what the predictors use. Both are
+//! property-tested against folding the full history from scratch.
 
 /// A long global-history shift register backed by a circular bit buffer.
 ///
@@ -258,22 +260,192 @@ impl FoldedHistory {
     ///
     /// Branch-free: the cancel XOR is computed from the bit instead of
     /// branched on. The outgoing history bit is essentially a coin flip on
-    /// real traces, so branching on it would mispredict constantly across
-    /// the ~3×tables registers a TAGE updates per branch. Callers that
-    /// maintain several registers over the same window length (index +
-    /// both tag folds of one TAGE table) also read the outgoing bit once
-    /// instead of three times.
+    /// real traces, so branching on it would mispredict constantly.
+    /// The shift runs in `u64` so that a 32-bit register keeps the bit it
+    /// shifts out and wraps it back in.
     #[inline]
     pub fn update_with_out_bit(&mut self, out_bit: bool, taken: bool) {
         // Shift in the new bit at position 0.
-        self.comp = (self.comp << 1) | u32::from(taken);
+        let mut c = (u64::from(self.comp) << 1) | u64::from(taken);
         // Cancel the bit that leaves the window: before the push it has age
         // original_len - 1; after the shift its contribution sits at
         // `outpoint`.
-        self.comp ^= u32::from(out_bit) << self.outpoint;
+        c ^= u64::from(out_bit) << self.outpoint;
         // Wrap the bit shifted out of the compressed register back in.
-        self.comp ^= self.comp >> self.compressed_len;
-        self.comp &= mask(self.compressed_len);
+        c ^= c >> self.compressed_len;
+        self.comp = c as u32 & mask(self.compressed_len);
+    }
+}
+
+/// A bank of folded histories over one global history, advanced together.
+///
+/// Each register folds the most recent `window` bits into `width` bits
+/// exactly as a [`FoldedHistory`] of the same shape does. The bank is
+/// stored as a structure of arrays and deduplicated by `(window, width)`:
+/// registering a shape twice returns the same register, so structures
+/// that fold the same window to the same width share one register. Each
+/// register's out-mask, top bit and width mask are precomputed, and the
+/// outgoing history bit is read once per distinct window, so one pass
+/// advances every register branch-free and without variable shifts.
+///
+/// Widths run from 1 to 32; a bank folds at most 32 distinct windows
+/// (the outgoing bits of one update are gathered into one `u32`).
+///
+/// # Example
+///
+/// ```
+/// use bputil::history::{FoldBank, HistoryBuffer};
+///
+/// let mut ghr = HistoryBuffer::new(256);
+/// let mut bank = FoldBank::new();
+/// let a = bank.register(100, 11);
+/// let b = bank.register(40, 32);
+/// assert_eq!(bank.register(100, 11), a); // same shape, same register
+/// for i in 0..500 {
+///     let t = i % 3 == 0;
+///     bank.update(&ghr, t);
+///     ghr.push(t);
+/// }
+/// assert_eq!(bank.value(a), ghr.fold(100, 11));
+/// assert_eq!(bank.value(b), ghr.fold(40, 32));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FoldBank {
+    /// Distinct window lengths; window `i`'s outgoing bit is bit `i` of
+    /// the mask [`FoldBank::update`] gathers.
+    windows: Vec<usize>,
+    /// Per register: `1 << i` for its window `windows[i]`.
+    window_bit: Vec<u32>,
+    /// Per register: `1 << (window % width)`, where the outgoing bit
+    /// lands after the shift.
+    out_mask: Vec<u32>,
+    /// Per register: `1 << (width - 1)`, the bit the shift carries out.
+    top: Vec<u32>,
+    /// Per register: the low `width` bits set.
+    mask: Vec<u32>,
+    /// Per register: the folded value.
+    values: Vec<u32>,
+}
+
+/// Most distinct windows one [`FoldBank`] folds.
+const MAX_WINDOWS: usize = u32::BITS as usize;
+
+impl FoldBank {
+    /// An empty bank.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns the register folding the most recent `window` bits into
+    /// `width` bits, adding it if no register has that shape yet. A new
+    /// register starts at zero, the fold of an empty history; one added
+    /// after updates have run must be [`set`](FoldBank::set) to the
+    /// history's current fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero, if `width` is not in `1..=32`, or if
+    /// `window` would be the bank's 33rd distinct window.
+    pub fn register(&mut self, window: usize, width: u32) -> usize {
+        assert!(window > 0, "folded history needs a non-zero length");
+        assert!((1..=32).contains(&width), "compressed length out of range: {width}");
+        let w = match self.windows.iter().position(|&x| x == window) {
+            Some(w) => w,
+            None => {
+                assert!(self.windows.len() < MAX_WINDOWS, "a fold bank folds at most 32 windows");
+                self.windows.push(window);
+                self.windows.len() - 1
+            }
+        };
+        let mask = u32::MAX >> (32 - width);
+        if let Some(r) =
+            (0..self.values.len()).find(|&r| self.window_bit[r] == 1 << w && self.mask[r] == mask)
+        {
+            return r;
+        }
+        self.window_bit.push(1 << w);
+        self.out_mask.push(1 << (window % width as usize));
+        self.top.push(1 << (width - 1));
+        self.mask.push(mask);
+        self.values.push(0);
+        self.values.len() - 1
+    }
+
+    /// Number of distinct registers.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `true` when nothing has been registered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The `(window, width)` shape of register `reg`.
+    #[must_use]
+    pub fn shape(&self, reg: usize) -> (usize, u32) {
+        let window = self.windows[self.window_bit[reg].trailing_zeros() as usize];
+        (window, self.mask[reg].count_ones())
+    }
+
+    /// The folded value of register `reg`.
+    #[inline]
+    #[must_use]
+    pub fn value(&self, reg: usize) -> u32 {
+        self.values[reg]
+    }
+
+    /// Every register's folded value, indexed by register.
+    #[inline]
+    #[must_use]
+    pub fn values(&self) -> &[u32] {
+        &self.values
+    }
+
+    /// Overwrites register `reg` with `value`, masked to its width.
+    pub fn set(&mut self, reg: usize, value: u32) {
+        self.values[reg] = value & self.mask[reg];
+    }
+
+    /// Restores every register from values captured with
+    /// [`FoldBank::values`] (misprediction rollback).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one value per register.
+    pub fn restore(&mut self, values: &[u32]) {
+        assert_eq!(values.len(), self.values.len(), "config mismatch");
+        for (reg, &v) in values.iter().enumerate() {
+            self.set(reg, v);
+        }
+    }
+
+    /// Advances every register for a new outcome `taken`. Must be called
+    /// **before** the outcome is pushed into `ghr`, as
+    /// [`FoldedHistory::update_before_push`]; `ghr` must remember the
+    /// longest registered window.
+    #[inline]
+    pub fn update(&mut self, ghr: &HistoryBuffer, taken: bool) {
+        let mut outgoing = 0u32;
+        for (i, &window) in self.windows.iter().enumerate() {
+            outgoing |= u32::from(ghr.bit(window - 1)) << i;
+        }
+        let taken = u32::from(taken);
+        let n = self.values.len();
+        let (window_bit, out_mask) = (&self.window_bit[..n], &self.out_mask[..n]);
+        let (top, mask) = (&self.top[..n], &self.mask[..n]);
+        for (r, v) in self.values.iter_mut().enumerate() {
+            // The FoldedHistory update with its shift split in two: the
+            // bit leaving position `width - 1` wraps to position 0, the
+            // new outcome enters there, and the outgoing window bit is
+            // cancelled at its out-mask.
+            let wrap = u32::from(*v & top[r] != 0);
+            let out = out_mask[r] & 0u32.wrapping_sub(u32::from(outgoing & window_bit[r] != 0));
+            *v = ((*v << 1) & mask[r]) ^ wrap ^ taken ^ out;
+        }
     }
 }
 
@@ -391,6 +563,9 @@ mod tests {
             (130, 12),
             (300, 13),
             (389, 13),
+            (40, 32),
+            (100, 31),
+            (200, 32),
         ];
         let mut folds: Vec<FoldedHistory> =
             cases.iter().map(|&(o, c)| FoldedHistory::new(o, c)).collect();
@@ -409,6 +584,43 @@ mod tests {
                 assert_eq!(f.value(), ghr.fold(o, c), "step {step}: olen={o} clen={c}");
             }
         }
+    }
+
+    #[test]
+    fn width_32_fold_keeps_its_wrapped_bit() {
+        // A 40-bit window into 32 bits: the shift's carry must wrap back
+        // in. Computing the wrap with `u32 >> 32` zeroed the register.
+        let mut ghr = HistoryBuffer::new(128);
+        let mut f = FoldedHistory::new(40, 32);
+        for i in 0..40 {
+            let t = i % 3 != 1;
+            f.update_before_push(&ghr, t);
+            ghr.push(t);
+        }
+        assert_ne!(ghr.fold(40, 32), 0);
+        assert_eq!(f.value(), ghr.fold(40, 32));
+    }
+
+    #[test]
+    fn fold_bank_dedups_and_restores() {
+        let mut bank = FoldBank::new();
+        let a = bank.register(54, 10);
+        let b = bank.register(54, 9);
+        assert_eq!(bank.register(54, 10), a);
+        assert_ne!(a, b);
+        assert_eq!(bank.len(), 2);
+        assert_eq!(bank.shape(b), (54, 9));
+        let mut ghr = HistoryBuffer::new(128);
+        for i in 0..100 {
+            bank.update(&ghr, i % 5 < 2);
+            ghr.push(i % 5 < 2);
+        }
+        let snapshot = bank.values().to_vec();
+        bank.update(&ghr, true);
+        bank.restore(&snapshot);
+        assert_eq!(bank.values(), &snapshot[..]);
+        bank.set(b, u32::MAX);
+        assert_eq!(bank.value(b), (1 << 9) - 1);
     }
 
     #[test]

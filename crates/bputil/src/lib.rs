@@ -37,6 +37,6 @@ pub mod stats;
 pub mod table;
 
 pub use counter::{SatCounter, UnsignedCounter};
-pub use history::{FoldedHistory, HistoryBuffer, PathHistory};
+pub use history::{FoldBank, FoldedHistory, HistoryBuffer, PathHistory};
 pub use rng::SplitMix64;
 pub use table::{DirectMapped, SetAssoc};

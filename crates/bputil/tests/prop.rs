@@ -5,7 +5,7 @@
 //! so the workspace builds with no network access.
 
 use bputil::counter::{SatCounter, UnsignedCounter};
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::history::{FoldBank, FoldedHistory, HistoryBuffer};
 use bputil::rng::SplitMix64;
 use bputil::table::SetAssoc;
 
@@ -14,9 +14,10 @@ use bputil::table::SetAssoc;
 #[test]
 fn folded_history_equals_reference() {
     let mut rng = SplitMix64::new(0xF01D);
-    for case in 0..60 {
+    for case in 0..80 {
         let olen = 1 + rng.below(400) as usize;
-        let clen = 1 + rng.below(20) as u32;
+        // Every width the register supports, 32 included.
+        let clen = if case < 4 { 29 + case } else { 1 + rng.below(32) as u32 };
         let n = 1 + rng.below(1500) as usize;
         let mut ghr = HistoryBuffer::new(512);
         let mut fh = FoldedHistory::new(olen, clen);
@@ -32,6 +33,53 @@ fn folded_history_equals_reference() {
                 ghr.fold(olen, clen),
                 "case {case}: olen={olen} clen={clen} n={n}"
             );
+        }
+    }
+}
+
+/// Every register of a [`FoldBank`] equals folding the full history from
+/// scratch at every step, and equals a [`FoldedHistory`] of its shape:
+/// duplicate shapes share one register, and the shapes cover width 1,
+/// widths 31 and 32, and windows longer than 64 bits.
+#[test]
+fn fold_bank_equals_reference() {
+    let mut rng = SplitMix64::new(0xBA4C);
+    for case in 0..40 {
+        let mut shapes: Vec<(usize, u32)> = vec![(1, 1), (7, 1), (65, 31), (40, 32), (300, 32)];
+        for _ in 0..rng.below(12) {
+            let window = 1 + rng.below(400) as usize;
+            let width = 1 + rng.below(32) as u32;
+            shapes.push((window, width));
+            // A repeated shape, and one sharing only the window.
+            if rng.chance(1, 3) {
+                shapes.push((window, width));
+                shapes.push((window, 1 + rng.below(32) as u32));
+            }
+        }
+        let mut bank = FoldBank::new();
+        let regs: Vec<usize> = shapes.iter().map(|&(o, c)| bank.register(o, c)).collect();
+        let mut distinct = shapes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(bank.len(), distinct.len(), "case {case}: shapes must deduplicate");
+        for (&r, &shape) in regs.iter().zip(&shapes) {
+            assert_eq!(bank.shape(r), shape);
+        }
+        let mut singles: Vec<FoldedHistory> =
+            shapes.iter().map(|&(o, c)| FoldedHistory::new(o, c)).collect();
+        let mut ghr = HistoryBuffer::new(512);
+        for step in 0..1 + rng.below(900) {
+            let t = rng.chance(1, 2);
+            bank.update(&ghr, t);
+            for f in &mut singles {
+                f.update_before_push(&ghr, t);
+            }
+            ghr.push(t);
+            for ((&r, &(o, c)), f) in regs.iter().zip(&shapes).zip(&singles) {
+                let want = ghr.fold(o, c);
+                assert_eq!(bank.value(r), want, "case {case} step {step}: window={o} width={c}");
+                assert_eq!(f.value(), want, "case {case} step {step}: window={o} width={c}");
+            }
         }
     }
 }

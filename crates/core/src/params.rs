@@ -1,5 +1,9 @@
 //! LLBP configuration (§VI of the paper, plus the Fig. 13/14 study knobs).
 
+/// Most history lengths an LLBP configuration may have: a prediction
+/// computes its per-length pattern tags into a fixed-size array.
+pub const MAX_LENGTHS: usize = 32;
+
 /// Victim selection for pattern sets in the context directory.
 ///
 /// The paper found plain LRU "a poor policy choice" and instead keeps the
@@ -257,6 +261,9 @@ impl LlbpParams {
         }
         if self.history_lengths.windows(2).any(|w| w[0] > w[1]) {
             return Err("LLBP history lengths must be ascending".into());
+        }
+        if self.history_lengths.len() > MAX_LENGTHS {
+            return Err(format!("LLBP supports at most {MAX_LENGTHS} history lengths"));
         }
         if self.num_buckets == 0 || !self.patterns_per_set.is_multiple_of(self.num_buckets) {
             return Err("patterns_per_set must be a positive multiple of num_buckets".into());

@@ -18,16 +18,15 @@
 //! (own mispredictions and indirect-branch target changes) squash
 //! in-flight prefetches.
 
-use crate::params::{CancelPolicy, LlbpParams};
+use crate::params::{CancelPolicy, LlbpParams, MAX_LENGTHS};
 use crate::pattern::PatternSet;
 use crate::prefetch::PrefetchQueue;
 use crate::rcr::RollingContextRegister;
 use crate::stats::{LlbpStats, OverrideKind};
-use bputil::history::FoldedHistory;
 use bputil::table::SetAssoc;
 use llbp_tage::tage::UpdateMode;
 use llbp_tage::{FrontEnd, PredictionInfo, Predictor, TageScl};
-use llbp_trace::{BranchKind, BranchRecord};
+use llbp_trace::BranchRecord;
 
 /// A pattern set resident in the pattern buffer.
 #[derive(Debug, Clone)]
@@ -45,13 +44,12 @@ struct LlbpMatch {
 }
 
 /// A snapshot of the composed predictor's speculative history state
-/// (§V-E2 rollback support).
+/// (§V-E2 rollback support). LLBP's pattern folds live in the backing
+/// TAGE's fold bank, so the baseline's checkpoint covers them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LlbpCheckpoint {
     tsl: llbp_tage::TslCheckpoint,
     rcr: crate::rcr::RcrCheckpoint,
-    folded_tag0: Vec<u32>,
-    folded_tag1: Vec<u32>,
 }
 
 /// The Last-Level Branch Predictor backing a TAGE-SC-L baseline.
@@ -60,8 +58,9 @@ pub struct LlbpPredictor {
     params: LlbpParams,
     tsl: TageScl,
     rcr: RollingContextRegister,
-    folded_tag0: Vec<FoldedHistory>,
-    folded_tag1: Vec<FoldedHistory>,
+    /// Per history length: the registers of its two tag folds in the
+    /// backing TAGE's fold bank.
+    tag_folds: Vec<[usize; 2]>,
     /// Unified context directory + bulk pattern-set storage.
     storage: SetAssoc<PatternSet>,
     /// The in-core pattern buffer.
@@ -85,30 +84,32 @@ impl LlbpPredictor {
     #[must_use]
     pub fn new(params: LlbpParams) -> Self {
         params.validate().unwrap_or_else(|e| panic!("invalid LLBP params: {e}"));
-        let tsl = TageScl::new(params.tsl.clone());
+        let mut tsl = TageScl::new(params.tsl.clone());
         let rcr = RollingContextRegister::new(
             params.window,
             params.prefetch_distance,
             params.cid_bits,
             params.history_kind,
         );
-        let folded_tag0 = params
+        // The pattern folds are registered in the backing TAGE's bank:
+        // TAGE's history update advances them, and shapes TAGE already
+        // folds (its 13/12-bit tag folds) or that repeat are shared.
+        let tag_folds = params
             .history_lengths
             .iter()
-            .map(|&l| FoldedHistory::new(l, params.tag_bits))
-            .collect();
-        let folded_tag1 = params
-            .history_lengths
-            .iter()
-            .map(|&l| FoldedHistory::new(l, (params.tag_bits - 1).max(1)))
+            .map(|&l| {
+                [
+                    tsl.register_fold(l, params.tag_bits),
+                    tsl.register_fold(l, (params.tag_bits - 1).max(1)),
+                ]
+            })
             .collect();
         let storage = SetAssoc::new(params.cd_index_bits, params.cd_ways);
         let pb = SetAssoc::new(params.pb_index_bits, params.pb_ways);
         Self {
             tsl,
             rcr,
-            folded_tag0,
-            folded_tag1,
+            tag_folds,
             storage,
             pb,
             prefetches: PrefetchQueue::new(),
@@ -162,18 +163,13 @@ impl LlbpPredictor {
         self.llbp_enabled
     }
 
-    /// Captures all speculative history state: the baseline's checkpoint
-    /// plus the RCR and LLBP's folded pattern histories (§V-E2: "Rolling
-    /// back the RCR can be done in the same way as for the folded
-    /// history registers in TAGE").
+    /// Captures all speculative history state: the baseline's checkpoint,
+    /// which includes LLBP's folded pattern histories, plus the RCR
+    /// (§V-E2: "Rolling back the RCR can be done in the same way as for
+    /// the folded history registers in TAGE").
     #[must_use]
     pub fn checkpoint(&self) -> LlbpCheckpoint {
-        LlbpCheckpoint {
-            tsl: self.tsl.checkpoint(),
-            rcr: self.rcr.checkpoint(),
-            folded_tag0: self.folded_tag0.iter().map(FoldedHistory::value).collect(),
-            folded_tag1: self.folded_tag1.iter().map(FoldedHistory::value).collect(),
-        }
+        LlbpCheckpoint { tsl: self.tsl.checkpoint(), rcr: self.rcr.checkpoint() }
     }
 
     /// Restores a checkpoint taken by [`LlbpPredictor::checkpoint`],
@@ -185,15 +181,8 @@ impl LlbpPredictor {
     ///
     /// Panics if the checkpoint came from a different configuration.
     pub fn restore(&mut self, checkpoint: &LlbpCheckpoint) {
-        assert_eq!(checkpoint.folded_tag0.len(), self.folded_tag0.len(), "config mismatch");
         self.tsl.restore(&checkpoint.tsl);
         self.rcr.restore(&checkpoint.rcr);
-        for (f, &v) in self.folded_tag0.iter_mut().zip(&checkpoint.folded_tag0) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag1.iter_mut().zip(&checkpoint.folded_tag1) {
-            f.restore(v);
-        }
         self.prefetches.squash();
     }
 
@@ -219,18 +208,20 @@ impl LlbpPredictor {
         )
     }
 
-    /// Per-length pattern tags for `pc` under the current history.
-    fn pattern_tags(&self, pc: u64) -> Vec<u32> {
-        (0..self.params.history_lengths.len())
-            .map(|i| {
-                bputil::hash::tage_tag(
-                    pc ^ (i as u64).rotate_left(7),
-                    self.folded_tag0[i].value(),
-                    self.folded_tag1[i].value(),
-                    self.params.tag_bits,
-                )
-            })
-            .collect()
+    /// Per-length pattern tags for `pc` under the current history; the
+    /// first `history_lengths.len()` entries are meaningful.
+    fn pattern_tags(&self, pc: u64) -> [u32; MAX_LENGTHS] {
+        let folds = self.tsl.tage().folds().values();
+        let mut tags = [0u32; MAX_LENGTHS];
+        for (i, (tag, &[tag0, tag1])) in tags.iter_mut().zip(&self.tag_folds).enumerate() {
+            *tag = bputil::hash::tage_tag(
+                pc ^ (i as u64).rotate_left(7),
+                folds[tag0],
+                folds[tag1],
+                self.params.tag_bits,
+            );
+        }
+        tags
     }
 
     /// Moves completed prefetches from storage into the PB.
@@ -360,6 +351,7 @@ impl Predictor for LlbpPredictor {
         let tage = self.tsl.lookup_tage(pc);
         let cid = self.rcr.current_cid();
         let tags = self.pattern_tags(pc);
+        let tags = &tags[..self.tag_folds.len()];
         self.stats.predictions += 1;
 
         let (pi, pt) = self.pb_key(cid);
@@ -387,7 +379,7 @@ impl Predictor for LlbpPredictor {
         let llbp = if resident {
             let (pi, pt) = self.pb_key(cid);
             self.pb.peek(pi, pt).and_then(|entry| {
-                entry.set.find_longest(&tags).map(|slot| {
+                entry.set.find_longest(tags).map(|slot| {
                     let p = entry.set.pattern(slot).expect("slot was a match");
                     LlbpMatch {
                         slot,
@@ -470,7 +462,7 @@ impl Predictor for LlbpPredictor {
             (tsl.pred, tsl.tage.provider_hist_len)
         };
         if provider_pred != taken && self.llbp_enabled {
-            self.allocate_pattern(cid, &tags, base_len, taken);
+            self.allocate_pattern(cid, tags, base_len, taken);
         }
 
         // A wrong final prediction resets the pipeline.
@@ -507,8 +499,9 @@ impl Predictor for LlbpPredictor {
 
 impl LlbpPredictor {
     /// The body of [`Predictor::update_history`]: instruction and cycle
-    /// accounting, front-end redirects, folded pattern histories, the
-    /// backing TAGE-SC-L's histories, then context tracking and prefetch.
+    /// accounting, front-end redirects, the backing TAGE-SC-L's histories
+    /// (LLBP's folded pattern histories among them), then context
+    /// tracking and prefetch.
     fn advance_history(&mut self, record: &BranchRecord) {
         self.instructions += record.instructions();
         self.stats.instructions = self.instructions;
@@ -523,20 +516,6 @@ impl LlbpPredictor {
             self.pipeline_reset();
         }
 
-        // LLBP's folded pattern histories advance with the same bit the
-        // backing TAGE pushes, and must fold *before* the GHR push.
-        let bit = if record.kind() == BranchKind::Conditional {
-            record.taken()
-        } else {
-            ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-        };
-        // `folded_tag0[i]` and `folded_tag1[i]` fold the same
-        // `history_lengths[i]` window — one outgoing bit serves both.
-        for i in 0..self.folded_tag0.len() {
-            let out = self.tsl.ghr().bit(self.folded_tag0[i].original_len() - 1);
-            self.folded_tag0[i].update_with_out_bit(out, bit);
-            self.folded_tag1[i].update_with_out_bit(out, bit);
-        }
         self.tsl.update_history(record);
 
         // Context tracking + prefetch issue. The RCR always advances (so
@@ -565,7 +544,7 @@ impl LlbpPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llbp_trace::{Trace, Workload, WorkloadSpec};
+    use llbp_trace::{BranchKind, Trace, Workload, WorkloadSpec};
 
     fn run(p: &mut dyn Predictor, trace: &Trace, skip: usize) -> (u64, u64) {
         let mut mispredicts = 0u64;
@@ -688,6 +667,15 @@ mod tests {
         assert!(p.llbp_enabled());
         assert!(p.stats().cd_lookups > 0, "LLBP must resume after re-enable");
         assert!(p.stats().contexts_created > 0);
+    }
+
+    #[test]
+    fn pattern_folds_share_the_baseline_fold_bank() {
+        // 32 pattern folds over 16 lengths: 8 repeat inside LLBP and 10
+        // equal the 64K TAGE's 13/12-bit tag folds, so 14 registers join
+        // TAGE's 47.
+        let p = LlbpPredictor::new(LlbpParams::default());
+        assert_eq!(p.baseline().tage().folds().len(), 47 + 14);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use bputil::counter::UnsignedCounter;
 use bputil::hash::{fold_to_bits, mix64};
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::history::{FoldBank, HistoryBuffer};
 use bputil::rng::SplitMix64;
 
 const NUM_TABLES: usize = 4;
@@ -55,8 +55,10 @@ pub struct IttageLookup {
 pub struct Ittage {
     base: Vec<Entry>,
     tables: Vec<Vec<Entry>>,
-    folded: Vec<FoldedHistory>,
-    folded_tag: Vec<FoldedHistory>,
+    /// Index and tag folds of the path history.
+    folds: FoldBank,
+    /// Per table: the bank registers of its index and tag folds.
+    table_folds: [[usize; 2]; NUM_TABLES],
     /// Path history of indirect/unconditional branch PCs.
     path: HistoryBuffer,
     rng: SplitMix64,
@@ -69,11 +71,14 @@ impl Ittage {
     /// plus four 512-entry tagged tables).
     #[must_use]
     pub fn new() -> Self {
+        let mut folds = FoldBank::new();
+        let table_folds =
+            HISTORY_LENGTHS.map(|l| [folds.register(l, INDEX_BITS), folds.register(l, TAG_BITS)]);
         Self {
             base: vec![Entry::empty(); 1 << INDEX_BITS],
             tables: vec![vec![Entry::empty(); 1 << INDEX_BITS]; NUM_TABLES],
-            folded: HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, INDEX_BITS)).collect(),
-            folded_tag: HISTORY_LENGTHS.iter().map(|&l| FoldedHistory::new(l, TAG_BITS)).collect(),
+            folds,
+            table_folds,
             path: HistoryBuffer::new(128),
             rng: SplitMix64::new(0x0017_7A6E),
             predictions: 0,
@@ -110,15 +115,12 @@ impl Ittage {
         let mut tags = [0u32; NUM_TABLES];
         let base_index = (mix64(pc >> 1) as usize) & (self.base.len() - 1);
         let mut provider = None;
-        for t in (0..NUM_TABLES).rev() {
-            indices[t] = fold_to_bits(
-                mix64(pc ^ u64::from(self.folded[t].value()) ^ (t as u64) << 33),
-                INDEX_BITS,
-            );
-            tags[t] = fold_to_bits(
-                mix64(pc.rotate_left(13) ^ u64::from(self.folded_tag[t].value())),
-                TAG_BITS,
-            ) as u32;
+        let folds = self.folds.values();
+        for (t, &[index, tag]) in self.table_folds.iter().enumerate() {
+            indices[t] =
+                fold_to_bits(mix64(pc ^ u64::from(folds[index]) ^ (t as u64) << 33), INDEX_BITS);
+            tags[t] =
+                fold_to_bits(mix64(pc.rotate_left(13) ^ u64::from(folds[tag])), TAG_BITS) as u32;
         }
         for t in (0..NUM_TABLES).rev() {
             let e = &self.tables[t][indices[t] as usize];
@@ -195,9 +197,7 @@ impl Ittage {
     /// branch (unconditional, or taken conditional).
     pub fn update_history(&mut self, pc: u64) {
         let bit = (pc >> 2) & 1 == 1;
-        for f in self.folded.iter_mut().chain(self.folded_tag.iter_mut()) {
-            f.update_before_push(&self.path, bit);
-        }
+        self.folds.update(&self.path, bit);
         self.path.push(bit);
     }
 }

@@ -56,7 +56,7 @@ pub use loop_pred::LoopPredictor;
 pub use predictor::{PredictionInfo, Predictor, ProviderKind};
 pub use ras::ReturnAddressStack;
 pub use sc::StatisticalCorrector;
-pub use tage::{Tage, TageLookup};
+pub use tage::{history_bit, Tage, TageLookup};
 pub use useful::UsefulPatternTracker;
 
 mod tsl;

@@ -10,7 +10,7 @@
 
 use bputil::counter::SatCounter;
 use bputil::hash::{fold_to_bits, mix64};
-use bputil::history::{FoldedHistory, HistoryBuffer};
+use bputil::history::{FoldBank, HistoryBuffer};
 
 /// Weight of the TAGE vote inside the SC sum.
 const TAGE_VOTE: i32 = 16;
@@ -29,6 +29,8 @@ pub struct ScLookup {
     pub pred: bool,
     /// Whether the sum cleared the confidence threshold (SC overrides).
     pub confident: bool,
+    /// The TAGE direction the sum was computed for.
+    tage_pred: bool,
     /// Component indices (bias first, then one per history length).
     indices: [u32; MAX_COMPONENTS],
     num_components: usize,
@@ -46,7 +48,11 @@ pub struct StatisticalCorrector {
     /// entries per component that is 16 MiB instead of 96 MiB per
     /// predictor, with the same saturating arithmetic.
     tables: Vec<Vec<i8>>,
-    folded: Vec<Option<FoldedHistory>>,
+    /// The GEHL components' folded histories.
+    folds: FoldBank,
+    /// Per component, its register in `folds` (`None` for the bias
+    /// component and PC-only components).
+    fold_of: Vec<Option<usize>>,
     index_bits: u32,
     /// Adaptive confidence threshold (O-GEHL style).
     threshold: i32,
@@ -68,14 +74,16 @@ impl StatisticalCorrector {
         assert!(history_lengths.len() < MAX_COMPONENTS, "too many SC components");
         let entries = 1usize << index_bits;
         let mut tables = vec![vec![0i8; entries]]; // bias
-        let mut folded = vec![None]; // bias has no history
+        let mut folds = FoldBank::new();
+        let mut fold_of = vec![None]; // bias has no history
         for &l in history_lengths {
             tables.push(vec![0i8; entries]);
-            folded.push((l > 0).then(|| FoldedHistory::new(l, index_bits)));
+            fold_of.push((l > 0).then(|| folds.register(l, index_bits)));
         }
         Self {
             tables,
-            folded,
+            folds,
+            fold_of,
             index_bits,
             threshold: 6,
             tc: SatCounter::new_signed(7),
@@ -97,7 +105,7 @@ impl StatisticalCorrector {
 
     fn component_index(&self, c: usize, pc: u64, tage_pred: bool) -> u32 {
         let mask = (1u32 << self.index_bits) - 1;
-        let fold = self.folded[c].as_ref().map_or(0, FoldedHistory::value);
+        let fold = self.fold_of[c].map_or(0, |r| self.folds.value(r));
         let h = if c == 0 {
             // Bias component: PC plus the TAGE direction.
             mix64(pc ^ u64::from(tage_pred) << 1)
@@ -117,10 +125,35 @@ impl StatisticalCorrector {
             *slot = i;
             sum += 2 * i32::from(table[i as usize]) + 1;
         }
+        self.finish(sum, indices, tage_pred)
+    }
+
+    /// [`StatisticalCorrector::lookup`] for the same `pc` under another
+    /// TAGE direction, reusing `base`'s history components: only the bias
+    /// component and the TAGE vote depend on the direction. `base` must
+    /// come from a lookup of `pc` with no training in between; the result
+    /// is then identical to a fresh lookup.
+    #[must_use]
+    pub fn relookup(&self, base: &ScLookup, pc: u64, tage_pred: bool) -> ScLookup {
+        if tage_pred == base.tage_pred {
+            return *base;
+        }
+        let vote = |p: bool| if p { TAGE_VOTE } else { -TAGE_VOTE };
+        let bias = |i: u32| 2 * i32::from(self.tables[0][i as usize]) + 1;
+        let mut indices = base.indices;
+        indices[0] = self.component_index(0, pc, tage_pred);
+        let sum = base.sum - vote(base.tage_pred) - bias(base.indices[0])
+            + vote(tage_pred)
+            + bias(indices[0]);
+        self.finish(sum, indices, tage_pred)
+    }
+
+    fn finish(&self, sum: i32, indices: [u32; MAX_COMPONENTS], tage_pred: bool) -> ScLookup {
         ScLookup {
             sum,
             pred: sum >= 0,
             confident: sum.abs() > self.threshold,
+            tage_pred,
             indices,
             num_components: self.tables.len(),
         }
@@ -167,7 +200,7 @@ impl StatisticalCorrector {
     /// Captures the component folded-history values for rollback.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u32> {
-        self.folded.iter().map(|f| f.as_ref().map_or(0, FoldedHistory::value)).collect()
+        self.folds.values().to_vec()
     }
 
     /// Restores folded histories captured by
@@ -177,21 +210,14 @@ impl StatisticalCorrector {
     ///
     /// Panics if the checkpoint came from a different configuration.
     pub fn restore(&mut self, checkpoint: &[u32]) {
-        assert_eq!(checkpoint.len(), self.folded.len(), "config mismatch");
-        for (f, &v) in self.folded.iter_mut().zip(checkpoint) {
-            if let Some(f) = f {
-                f.restore(v);
-            }
-        }
+        self.folds.restore(checkpoint);
     }
 
     /// Advances the component folded histories. Must be called with the
     /// global history buffer *before* the new outcome bit is pushed into
-    /// it (same contract as [`FoldedHistory::update_before_push`]).
+    /// it (same contract as [`FoldBank::update`]).
     pub fn update_history(&mut self, ghr: &HistoryBuffer, bit: bool) {
-        for f in self.folded.iter_mut().flatten() {
-            f.update_before_push(ghr, bit);
-        }
+        self.folds.update(ghr, bit);
     }
 }
 
@@ -277,6 +303,24 @@ mod tests {
             let l = s.lookup(0x40, true);
             let components = i32::from(bound) * 2 + 1;
             assert_eq!(l.sum, TAGE_VOTE + 2 * components);
+        }
+    }
+
+    #[test]
+    fn relookup_matches_a_fresh_lookup() {
+        let mut s = StatisticalCorrector::new(6, &[0, 3, 8, 12]);
+        let mut ghr = HistoryBuffer::new(64);
+        let mut rng = bputil::rng::SplitMix64::new(8);
+        for _ in 0..5_000 {
+            let pc = rng.below(256) * 4;
+            let (taken, tage_pred) = (rng.chance(1, 2), rng.chance(1, 2));
+            let l = s.lookup(pc, tage_pred);
+            for p in [tage_pred, !tage_pred] {
+                assert_eq!(s.relookup(&l, pc, p), s.lookup(pc, p), "pc={pc:#x} pred={p}");
+            }
+            s.train(&l, taken);
+            s.update_history(&ghr, taken);
+            ghr.push(taken);
         }
     }
 

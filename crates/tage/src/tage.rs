@@ -15,7 +15,7 @@ use crate::config::{StorageKind, TageConfig};
 use crate::useful::UsefulPatternTracker;
 use bputil::counter::{SatCounter, UnsignedCounter};
 use bputil::hash::{tage_tag, FastHashMap, IndexCtx};
-use bputil::history::{FoldedHistory, HistoryBuffer, PathHistory};
+use bputil::history::{FoldBank, HistoryBuffer, PathHistory};
 use bputil::rng::SplitMix64;
 use llbp_trace::{BranchKind, BranchRecord};
 
@@ -114,9 +114,12 @@ pub struct Tage {
     // --- histories ---
     ghr: HistoryBuffer,
     path: PathHistory,
-    folded_index: Vec<FoldedHistory>,
-    folded_tag0: Vec<FoldedHistory>,
-    folded_tag1: Vec<FoldedHistory>,
+    /// Every folded register over `ghr`: TAGE's own, deduplicated by
+    /// shape, plus any a composing predictor registered through
+    /// [`Tage::register_fold`].
+    folds: FoldBank,
+    /// Per table: the bank registers of its index fold and two tag folds.
+    table_folds: Vec<[usize; 3]>,
     // --- storage ---
     bim_dir: Vec<bool>,
     bim_hyst: Vec<bool>,
@@ -155,19 +158,20 @@ impl Tage {
         assert!(cfg.num_tables() <= MAX_TABLES, "too many tables");
         let ghr = HistoryBuffer::new(cfg.max_history() + 64);
         let path = PathHistory::new(cfg.path_bits);
-        let folded_index =
-            cfg.history_lengths.iter().map(|&l| FoldedHistory::new(l, cfg.index_bits)).collect();
-        let folded_tag0 = cfg
+        // Twin tables share registers, and a table whose second tag fold
+        // has the index width shares that one too.
+        let mut folds = FoldBank::new();
+        let table_folds = cfg
             .history_lengths
             .iter()
             .zip(&cfg.tag_bits)
-            .map(|(&l, &t)| FoldedHistory::new(l, t))
-            .collect();
-        let folded_tag1 = cfg
-            .history_lengths
-            .iter()
-            .zip(&cfg.tag_bits)
-            .map(|(&l, &t)| FoldedHistory::new(l, (t - 1).max(1)))
+            .map(|(&l, &t)| {
+                [
+                    folds.register(l, cfg.index_bits),
+                    folds.register(l, t),
+                    folds.register(l, (t - 1).max(1)),
+                ]
+            })
             .collect();
         let tables = match cfg.storage {
             StorageKind::Finite => cfg
@@ -184,9 +188,8 @@ impl Tage {
             rng: SplitMix64::new(cfg.seed),
             ghr,
             path,
-            folded_index,
-            folded_tag0,
-            folded_tag1,
+            folds,
+            table_folds,
             bim_dir: vec![false; 1 << cfg.bimodal_bits],
             bim_hyst: vec![true; 1 << (cfg.bimodal_bits - 2)],
             tables,
@@ -285,12 +288,13 @@ impl Tage {
         // The PC scramble and path masking are identical for every table;
         // hoist them so the per-table loop only mixes the folded history.
         let idx_ctx = IndexCtx::new(pc, self.path.value(), self.cfg.index_bits);
-        for t in 0..n {
-            indices[t] = idx_ctx.index(self.folded_index[t].value(), t as u32);
+        let folds = self.folds.values();
+        for (t, &[index, tag0, tag1]) in self.table_folds.iter().enumerate() {
+            indices[t] = idx_ctx.index(folds[index], t as u32);
             tags[t] = tage_tag(
                 pc ^ (t as u64).rotate_left(11),
-                self.folded_tag0[t].value(),
-                self.folded_tag1[t].value(),
+                folds[tag0],
+                folds[tag1],
                 self.cfg.tag_bits[t],
             );
         }
@@ -547,33 +551,40 @@ impl Tage {
         }
     }
 
-    /// The bit a retired branch inserts into global history: conditionals
-    /// insert their outcome; unconditional branches insert a
-    /// PC/target-derived path bit, which lets long histories encode
-    /// calling context.
-    fn history_bit(record: &BranchRecord) -> bool {
-        if record.kind() == BranchKind::Conditional {
-            record.taken()
-        } else {
-            ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-        }
-    }
-
     /// Advances global, folded and path histories for a retired branch of
-    /// any kind. The index and both tag folds of table `i` share one
-    /// window length (`history_lengths[i]`), so the outgoing GHR bit is
-    /// read once per table and applied branch-free via
-    /// [`FoldedHistory::update_with_out_bit`].
+    /// any kind. One pass over the fold bank advances every register,
+    /// including those a composing predictor registered.
     pub fn update_history(&mut self, record: &BranchRecord) {
-        let bit = Self::history_bit(record);
-        for i in 0..self.folded_index.len() {
-            let out = self.ghr.bit(self.folded_index[i].original_len() - 1);
-            self.folded_index[i].update_with_out_bit(out, bit);
-            self.folded_tag0[i].update_with_out_bit(out, bit);
-            self.folded_tag1[i].update_with_out_bit(out, bit);
-        }
+        let bit = history_bit(record);
+        self.folds.update(&self.ghr, bit);
         self.ghr.push(bit);
         self.path.push(record.pc() >> 2);
+    }
+
+    /// Returns the bank register folding the most recent `window` history
+    /// bits into `width` bits, adding it if TAGE has no register of that
+    /// shape. The register then advances with TAGE's own on every
+    /// [`Tage::update_history`] and is covered by [`Tage::checkpoint`]:
+    /// this is how LLBP folds its pattern histories over TAGE's global
+    /// history. A new register starts at the current history's fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or longer than the global history
+    /// buffer, or if `width` is not in `1..=32`.
+    pub fn register_fold(&mut self, window: usize, width: u32) -> usize {
+        assert!(window <= self.ghr.capacity(), "fold window {window} exceeds the global history");
+        let reg = self.folds.register(window, width);
+        self.folds.set(reg, self.ghr.fold(window, width));
+        reg
+    }
+
+    /// The folded-history bank (read [`FoldBank::value`] with a register
+    /// from [`Tage::register_fold`]).
+    #[inline]
+    #[must_use]
+    pub fn folds(&self) -> &FoldBank {
+        &self.folds
     }
 
     /// The global history buffer (exposed for composition and tests).
@@ -591,9 +602,7 @@ impl Tage {
         TageCheckpoint {
             ghr: self.ghr.checkpoint(),
             path: self.path.value(),
-            folded_index: self.folded_index.iter().map(FoldedHistory::value).collect(),
-            folded_tag0: self.folded_tag0.iter().map(FoldedHistory::value).collect(),
-            folded_tag1: self.folded_tag1.iter().map(FoldedHistory::value).collect(),
+            folds: self.folds.values().to_vec(),
         }
     }
 
@@ -605,18 +614,22 @@ impl Tage {
     /// Panics if the checkpoint came from a differently-configured
     /// predictor.
     pub fn restore(&mut self, checkpoint: &TageCheckpoint) {
-        assert_eq!(checkpoint.folded_index.len(), self.folded_index.len(), "config mismatch");
+        self.folds.restore(&checkpoint.folds);
         self.ghr.restore(&checkpoint.ghr);
         self.path.restore(checkpoint.path);
-        for (f, &v) in self.folded_index.iter_mut().zip(&checkpoint.folded_index) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag0.iter_mut().zip(&checkpoint.folded_tag0) {
-            f.restore(v);
-        }
-        for (f, &v) in self.folded_tag1.iter_mut().zip(&checkpoint.folded_tag1) {
-            f.restore(v);
-        }
+    }
+}
+
+/// The bit a retired branch inserts into global history: conditionals
+/// insert their outcome; unconditional branches insert a PC/target-derived
+/// path bit, which lets long histories encode calling context.
+#[inline]
+#[must_use]
+pub fn history_bit(record: &BranchRecord) -> bool {
+    if record.kind() == BranchKind::Conditional {
+        record.taken()
+    } else {
+        ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
     }
 }
 
@@ -625,9 +638,7 @@ impl Tage {
 pub struct TageCheckpoint {
     ghr: bputil::history::HistoryCheckpoint,
     path: u64,
-    folded_index: Vec<u32>,
-    folded_tag0: Vec<u32>,
-    folded_tag1: Vec<u32>,
+    folds: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -778,6 +789,38 @@ mod tests {
         }
         let tracker = t.useful_tracker().expect("tracking enabled");
         assert!(tracker.total_patterns() > 0, "some patterns must be useful");
+    }
+
+    #[test]
+    fn cbp64k_twin_and_equal_width_folds_share_registers() {
+        // 21 tables x 3 folds = 63 shapes, 47 distinct: twin tables share
+        // all three, and an 11-bit table's second tag fold is 10 bits wide
+        // like its index fold.
+        let t = Tage::new(TageConfig::cbp64k());
+        assert_eq!(t.folds().len(), 47);
+    }
+
+    #[test]
+    fn fold_bank_tracks_the_reference_fold() {
+        let mut t = Tage::new(small_cfg());
+        let mut rng = SplitMix64::new(13);
+        for i in 0..3000u64 {
+            let pc = 0x1000 + (i % 37) * 4;
+            if i % 5 == 0 {
+                let r = BranchRecord::unconditional(pc, rng.next_u64(), BranchKind::DirectJump, 2);
+                t.update_history(&r);
+            } else {
+                drive(&mut t, pc, rng.chance(1, 2));
+            }
+            if i == 1500 {
+                // Registered mid-run: seeded from the current history.
+                t.register_fold(32, 5);
+            }
+        }
+        for reg in 0..t.folds().len() {
+            let (window, width) = t.folds().shape(reg);
+            assert_eq!(t.folds().value(reg), t.ghr().fold(window, width), "{window}:{width}");
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@ use crate::config::TslConfig;
 use crate::loop_pred::{LoopLookup, LoopPredictor};
 use crate::predictor::{PredictionInfo, Predictor, ProviderKind};
 use crate::sc::{ScLookup, StatisticalCorrector};
-use crate::tage::{Tage, TageLookup, UpdateMode};
+use crate::tage::{history_bit, Tage, TageLookup, UpdateMode};
 use bputil::history::HistoryBuffer;
-use llbp_trace::{BranchKind, BranchRecord};
+use llbp_trace::BranchRecord;
 
 /// Everything computed during a TAGE-SC-L lookup.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +126,8 @@ impl TageScl {
 
         let sc = self.sc.as_mut().map(|s| {
             // The real datapath corrects the (possibly injected) direction;
-            // the baseline path is recomputed for attribution only.
+            // the baseline path is re-derived for attribution only, and
+            // only its direction-dependent bias component differs.
             let l = s.lookup(pc, pred);
             let corrected = s.arbitrate(&l, pred);
             if corrected != pred {
@@ -134,7 +135,7 @@ impl TageScl {
                 pred = corrected;
             }
             if inject.is_some() {
-                let lb = s.lookup(pc, baseline);
+                let lb = s.relookup(&l, pc, baseline);
                 if lb.confident && lb.pred != baseline {
                     baseline = lb.pred;
                 }
@@ -185,14 +186,16 @@ impl TageScl {
     /// Advances histories for a retired branch of any kind.
     pub fn update_history(&mut self, record: &BranchRecord) {
         if let Some(sc) = &mut self.sc {
-            let bit = if record.kind() == BranchKind::Conditional {
-                record.taken()
-            } else {
-                ((record.pc() >> 2) ^ (record.target() >> 3)) & 1 == 1
-            };
-            sc.update_history(self.tage.ghr(), bit);
+            sc.update_history(self.tage.ghr(), history_bit(record));
         }
         self.tage.update_history(record);
+    }
+
+    /// Adds a folded register over the shared global history to the core
+    /// TAGE's bank ([`Tage::register_fold`]); read it through
+    /// [`TageScl::tage`]. It advances and checkpoints with TAGE's own.
+    pub fn register_fold(&mut self, window: usize, width: u32) -> usize {
+        self.tage.register_fold(window, width)
     }
 
     /// Conditional branch predictions made so far.
@@ -258,7 +261,7 @@ impl Predictor for TageScl {
 mod tests {
     use super::*;
     use crate::config::TslConfig;
-    use llbp_trace::{Workload, WorkloadSpec};
+    use llbp_trace::{BranchKind, Workload, WorkloadSpec};
 
     /// Runs a workload through a predictor and returns MPKI.
     fn mpki(cfg: TslConfig, workload: Workload, branches: usize) -> f64 {

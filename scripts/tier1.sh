@@ -13,6 +13,12 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace --offline --quiet
 
+echo "== hash and history tests (release) =="
+# Release builds wrap on overflow and mask over-wide shift amounts instead
+# of panicking, so a fold that only debug assertions would catch (a u32
+# shifted by 32 reads as a shift by 0) has to fail here too.
+cargo test --release --offline --quiet -p bputil
+
 echo "== benchmark package tests =="
 # perfbench is a separate workspace built on the crates' public API. Its
 # tests pin the quick Fig. 2 / Fig. 9 figures and every default-seed grid
